@@ -139,10 +139,7 @@ def orthonormal_basis(basis: QMatrix) -> np.ndarray:
     return q
 
 
-def build_complex(
-    paths_per_degree: list[list[Path]],
-    omega_override: dict[int, QMatrix] | None = None,
-) -> ChainComplex:
+def build_complex(paths_per_degree: list[list[Path]]) -> ChainComplex:
     """Invariant subspaces and boundaries from per-degree anchor path lists.
 
     Degree k basis: exact kernel of the disallowed block of the boundary
@@ -150,10 +147,6 @@ def build_complex(
     degree 0 is the full vertex span. The exact boundary is re-expressed in
     the previous degree's basis, which is always solvable because a boundary
     of an invariant vector is itself invariant.
-
-    omega_override supplies a precomputed basis for a degree (the degree-2
-    accelerated constructor); it is verified to be an independent spanning
-    set of the same kernel before use.
     """
     for k in range(1, len(paths_per_degree)):
         prev = set(paths_per_degree[k - 1])
@@ -179,21 +172,10 @@ def build_complex(
         paths_k = paths_per_degree[k]
         paths_km1 = paths_per_degree[k - 1]
         allowed, disallowed, _ = split_boundary(paths_k, paths_km1)
-        if omega_override and k in omega_override:
-            omega = omega_override[k]
-            if not (omega.rows == len(paths_k) and (disallowed @ omega).is_zero()
-                    and qa.rank(omega) == omega.cols == len(paths_k) - qa.rank(disallowed)):
-                raise StructuralError(f"override basis at degree {k} is not a kernel basis")
-        else:
-            omega = qa.kernel_basis(disallowed)
+        omega = qa.kernel_basis(disallowed)
         prev = degrees[k - 1]
-        image = allowed @ omega  # path coordinates of the boundary of each basis vector
-        if prev.omega.cols == 0:
-            if not image.is_zero():
-                raise StructuralError("boundary image escapes a zero-dimensional degree")
-            boundary = QMatrix(0, omega.cols)
-        else:
-            boundary = qa.solve(prev.omega, image)
+        # boundary of each basis vector, re-expressed in the previous degree's basis
+        boundary = qa.solve(prev.omega, allowed @ omega)
         ortho = orthonormal_basis(omega)
         boundary_ortho = prev.ortho.T @ (allowed.to_float() @ ortho)
         degrees.append(
@@ -207,34 +189,27 @@ def build_complex(
             )
         )
     cplx = ChainComplex(degrees)
-    _verify_boundary_square(cplx)
+    k = nonzero_composition([d.boundary for d in degrees])
+    if k is not None:
+        raise StructuralError(f"boundary composition at degree {k} is nonzero")
     return cplx
 
 
-def _verify_boundary_square(c: ChainComplex) -> None:
-    for k in range(2, c.p_top + 1):
-        prod = c.degrees[k - 1].boundary @ c.degrees[k].boundary
-        if not prod.is_zero():
-            raise StructuralError(f"boundary composition at degree {k} is nonzero")
+def nonzero_composition(boundaries: list[QMatrix]) -> int | None:
+    """First degree k with boundaries[k-1] @ boundaries[k] nonzero, or None."""
+    for k in range(2, len(boundaries)):
+        if not (boundaries[k - 1] @ boundaries[k]).is_zero():
+            return k
+    return None
 
 
-def build_digraph_complex(g: Digraph, p_top: int, cap: int = DEFAULT_PATH_CAP,
-                          fast_degree2: bool = False) -> ChainComplex:
-    table = anchor_path_table(g, p_top, cap)
-    override = None
-    if fast_degree2 and p_top >= 2:
-        override = {2: omega2_generators_fast(g, table[2])}
-    return build_complex(table, override)
+def build_digraph_complex(g: Digraph, p_top: int, cap: int = DEFAULT_PATH_CAP) -> ChainComplex:
+    return build_complex(anchor_path_table(g, p_top, cap))
 
 
-def build_hypergraph_complex(h: Hypergraph, p_top: int, cap: int = DEFAULT_PATH_CAP,
-                             fast_degree2: bool = False) -> ChainComplex:
-    g = symmetric_closure(essential_graph(h))
-    table = anchor_path_table(g, p_top, cap)
-    override = None
-    if fast_degree2 and p_top >= 2:
-        override = {2: omega2_generators_fast(g, table[2])}
-    return build_complex(table, override)
+def build_hypergraph_complex(h: Hypergraph, p_top: int, cap: int = DEFAULT_PATH_CAP) -> ChainComplex:
+    """The digraph complex of the symmetric closure of the essential graph."""
+    return build_digraph_complex(symmetric_closure(essential_graph(h)), p_top, cap)
 
 
 def omega2_generators_fast(g: Digraph, paths2: list[Path]) -> QMatrix:
@@ -262,11 +237,6 @@ def omega2_generators_fast(g: Digraph, paths2: list[Path]) -> QMatrix:
         for j, coeff in col.items():
             out.data[j][k] = qa.Fraction(coeff)
     return out
-
-
-def omega2_generators_fast_hypergraph(h: Hypergraph, paths2: list[Path]) -> QMatrix:
-    """Hypergraph variant: adjacency is co-containment in some hyperedge."""
-    return omega2_generators_fast(symmetric_closure(essential_graph(h)), paths2)
 
 
 # ---------------------------------------------------------------------------
@@ -349,13 +319,7 @@ class SubcomplexRep:
 def _restricted_boundaries(ambient: AmbientComplex, bases: list[QMatrix]) -> list[QMatrix]:
     boundaries = [QMatrix(0, bases[0].cols)]
     for k in range(1, len(bases)):
-        image = ambient.boundaries[k] @ bases[k]
-        if bases[k - 1].cols == 0:
-            if not image.is_zero():
-                raise StructuralError("subcomplex is not closed under the boundary")
-            boundaries.append(QMatrix(0, bases[k].cols))
-        else:
-            boundaries.append(qa.solve(bases[k - 1], image))
+        boundaries.append(qa.solve(bases[k - 1], ambient.boundaries[k] @ bases[k]))
     return boundaries
 
 

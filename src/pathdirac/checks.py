@@ -13,10 +13,13 @@ import numpy as np
 
 from . import rational as qa
 from .chain import (
+    AmbientComplex,
     ChainComplex,
+    SubcomplexRep,
     deletion_closure_complex,
     embed_paths,
     infimum_complex,
+    nonzero_composition,
     omega2_generators_fast,
     supremum_complex,
 )
@@ -28,19 +31,10 @@ from .graphs import (
     h1_rank_hypergraph,
     symmetric_closure,
 )
-from .operators import (
-    dirac,
-    down_laplacian,
-    eigen_spectrum,
-    float_rank,
-    laplacian,
-    spectrum_symmetry_defect,
-    verify_dirac_square,
-)
+from .operators import dirac, eigen_spectrum, float_rank, laplacian, verify_dirac_square
 from .persistence import (
     StageComplexes,
     auxiliary_complex,
-    persistent_dirac,
     persistent_laplacian,
     persistent_nullity_report,
 )
@@ -58,64 +52,33 @@ def _result(name: str, passed: bool, detail: str) -> CheckResult:
 
 
 def check_boundary_square(c: ChainComplex) -> CheckResult:
-    worst = None
-    for k in range(2, c.p_top + 1):
-        prod = c.degrees[k - 1].boundary @ c.degrees[k].boundary
-        if not prod.is_zero():
-            worst = k
+    k = nonzero_composition([d.boundary for d in c.degrees])
     return _result(
         "boundary-composition-zero",
-        worst is None,
-        "exact at all degrees" if worst is None else f"nonzero composition at degree {worst}",
+        k is None,
+        "exact at all degrees" if k is None else f"nonzero composition at degree {k}",
     )
 
 
-def check_dirac_squares(c: ChainComplex, corrupt: bool = False) -> list[CheckResult]:
-    out = []
-    for p in range(c.p_top):
-        report = verify_dirac_square(c, p)
-        if corrupt:
-            d = dirac(c, p)
-            m = d.matrix.copy()
-            if m.size:
-                m[0, 0] += 0.5  # deliberate corruption for the negative control
-            sq = m @ m
-            defect = float(np.max(np.abs(sq - d.matrix @ d.matrix))) if m.size else 1.0
-            out.append(_result(f"dirac-square-p{p}", defect <= 1e-10, f"injected defect {defect:.3e}"))
-        else:
-            out.append(_result(f"dirac-square-p{p}", report.passed, report.detail))
-    return out
-
-
-def check_spectrum_symmetry(c: ChainComplex) -> list[CheckResult]:
-    out = []
-    for p in range(c.p_top):
-        d = dirac(c, p)
-        spec = eigen_spectrum(d.matrix, d.exact_nullity)
-        defect = spectrum_symmetry_defect(spec)
-        out.append(
-            _result(f"dirac-spectrum-symmetry-p{p}", defect <= 1e-8, f"defect {defect:.3e}")
+def check_dirac_identities(c: ChainComplex) -> list[CheckResult]:
+    """Square, spectrum symmetry and nullity identity of D_p, from one report per degree."""
+    reports = [verify_dirac_square(c, p) for p in range(c.p_top)]
+    squares = [_result(f"dirac-square-p{r.degree}", r.passed, r.detail) for r in reports]
+    symmetry = [
+        _result(f"dirac-spectrum-symmetry-p{r.degree}", r.symmetry_defect <= 1e-8,
+                f"defect {r.symmetry_defect:.3e}")
+        for r in reports
+    ]
+    nullity = [
+        _result(
+            f"dirac-nullity-identity-p{r.degree}",
+            r.nullity_lhs == r.nullity_rhs and r.float_nullity == r.nullity_rhs,
+            f"exact {r.nullity_lhs}, betti-sum form {r.nullity_rhs}, "
+            f"float-rank form {r.float_nullity}",
         )
-    return out
-
-
-def check_nullity_identity(c: ChainComplex) -> list[CheckResult]:
-    """Dirac kernel dimension equals Betti sum plus the top down-kernel, both exact."""
-    out = []
-    for p in range(c.p_top):
-        d = dirac(c, p)
-        rhs = sum(c.betti(i) for i in range(p + 1)) + c.down_nullity(p + 1)
-        frank = float_rank(d.matrix)
-        lhs_float = d.matrix.shape[0] - frank
-        ok = d.exact_nullity == rhs and lhs_float == rhs
-        out.append(
-            _result(
-                f"dirac-nullity-identity-p{p}",
-                ok,
-                f"exact {d.exact_nullity}, betti-sum form {rhs}, float-rank form {lhs_float}",
-            )
-        )
-    return out
+        for r in reports
+    ]
+    return squares + symmetry + nullity
 
 
 def check_exact_vs_float_ranks(c: ChainComplex) -> CheckResult:
@@ -145,28 +108,19 @@ def check_h1_formula(graph: Digraph | Hypergraph, c: ChainComplex) -> CheckResul
     return _result("h1-closed-form", formula == betti1, f"formula {formula}, betti {betti1}")
 
 
-def check_embedded_homology(paths_per_degree) -> CheckResult:
+def check_embedded_homology(ambient: AmbientComplex, submods: list[qa.QMatrix],
+                            inf: SubcomplexRep) -> CheckResult:
     """Infimum and supremum subcomplexes of the anchor spans agree in homology."""
-    ambient = deletion_closure_complex(paths_per_degree)
-    submods = [
-        embed_paths(paths, ambient.labels[k]) for k, paths in enumerate(paths_per_degree)
-    ]
-    inf = infimum_complex(ambient, submods)
-    sup = supremum_complex(ambient, submods)
     bi = inf.betti_vector()
-    bs = sup.betti_vector()
+    bs = supremum_complex(ambient, submods).betti_vector()
     return _result("embedded-homology", bi == bs, f"infimum {bi}, supremum {bs}")
 
 
-def check_omega_against_infimum(c: ChainComplex) -> CheckResult:
+def check_omega_against_infimum(c: ChainComplex, submods: list[qa.QMatrix],
+                                inf: SubcomplexRep) -> CheckResult:
     """Kernel-method invariant spaces match the generic infimum construction."""
-    paths_per_degree = [c.degrees[k].paths for k in range(c.p_top + 1)]
-    ambient = deletion_closure_complex(paths_per_degree)
-    submods = [embed_paths(p, ambient.labels[k]) for k, p in enumerate(paths_per_degree)]
-    inf = infimum_complex(ambient, submods)
     for k in range(c.p_top + 1):
-        omega_emb = embed_paths(paths_per_degree[k], ambient.labels[k]) @ c.degrees[k].omega
-        if not qa.spans_equal(omega_emb, inf.bases[k]):
+        if not qa.spans_equal(submods[k] @ c.degrees[k].omega, inf.bases[k]):
             return _result("omega-vs-infimum", False, f"span mismatch at degree {k}")
     return _result("omega-vs-infimum", True, "identical spans at every degree")
 
@@ -181,17 +135,20 @@ def check_degree2_fast_path(graph: Digraph | Hypergraph, c: ChainComplex) -> Che
     return _result("degree2-fast-path", ok, f"fast dim {qa.rank(fast)}, kernel dim {c.dim(2)}")
 
 
-def graph_check_suite(graph: Digraph | Hypergraph, c: ChainComplex,
-                      corrupt: bool = False) -> list[CheckResult]:
+def graph_check_suite(graph: Digraph | Hypergraph, c: ChainComplex) -> list[CheckResult]:
+    # The anchor spans inside their deletion closure, and the largest subcomplex
+    # they contain, back both the omega and the embedded-homology checks.
+    paths = [d.paths for d in c.degrees]
+    ambient = deletion_closure_complex(paths)
+    submods = [embed_paths(ps, ambient.labels[k]) for k, ps in enumerate(paths)]
+    inf = infimum_complex(ambient, submods)
     results = [check_boundary_square(c)]
-    results.extend(check_dirac_squares(c, corrupt=corrupt))
-    results.extend(check_spectrum_symmetry(c))
-    results.extend(check_nullity_identity(c))
+    results.extend(check_dirac_identities(c))
     results.append(check_exact_vs_float_ranks(c))
     results.append(check_h1_formula(graph, c))
-    results.append(check_omega_against_infimum(c))
+    results.append(check_omega_against_infimum(c, submods, inf))
     results.append(check_degree2_fast_path(graph, c))
-    results.append(check_embedded_homology([c.degrees[k].paths for k in range(c.p_top + 1)]))
+    results.append(check_embedded_homology(ambient, submods, inf))
     return results
 
 
@@ -213,9 +170,8 @@ def filtration_check_suite(stages: StageComplexes, p: int = 1) -> list[CheckResu
                 )
             )
             if a == b:
-                d_pers = persistent_dirac(aux, p)
                 d_ord = dirac(stages.stage(b), p)
-                s1 = eigen_spectrum(d_pers.matrix, d_pers.exact_nullity).values
+                s1 = report["spectrum"].values
                 s2 = eigen_spectrum(d_ord.matrix, d_ord.exact_nullity).values
                 defect = float(np.max(np.abs(s1 - s2))) if len(s1) else 0.0
                 results.append(

@@ -102,7 +102,6 @@ def build_parser() -> CliParser:
     p_check.add_argument("--kind", choices=("digraph", "hypergraph", "filtration"),
                          default="digraph")
     p_check.add_argument("--p", type=int, default=1)
-    p_check.add_argument("--debug-corrupt", action="store_true", help=argparse.SUPPRESS)
     common(p_check)
     return parser
 
@@ -158,32 +157,23 @@ def cmd_dirac(args) -> int:
     tol = _tol(args)
     graph = load_graph(args.input, args.kind)
     c = _build(args, graph)
+    built = {f"laplacian_{n}": laplacian(c, n, args.max_dense) for n in range(args.p + 1)}
+    built[f"down_laplacian_{args.p + 1}"] = down_laplacian(c, args.p + 1, args.max_dense)
+    built[f"dirac_{args.p}"] = d = dirac(c, args.p, args.max_dense)
     operators = {}
-    for n in range(args.p + 1):
-        lap = laplacian(c, n, args.max_dense)
-        spec = eigen_spectrum(lap.matrix, lap.exact_nullity, tol)
-        operators[f"laplacian_{n}"] = _spectrum_payload(n, spec, features(spec))
-    down = down_laplacian(c, args.p + 1, args.max_dense)
-    spec_down = eigen_spectrum(down.matrix, down.exact_nullity, tol)
-    operators[f"down_laplacian_{args.p + 1}"] = _spectrum_payload(
-        args.p + 1, spec_down, features(spec_down)
-    )
-    d = dirac(c, args.p, args.max_dense)
-    spec_d = eigen_spectrum(d.matrix, d.exact_nullity, tol)
-    operators[f"dirac_{args.p}"] = _spectrum_payload(args.p, spec_d, features(spec_d))
+    for name, op in built.items():
+        spec = eigen_spectrum(op.matrix, op.exact_nullity, tol)
+        operators[name] = _spectrum_payload(op.degree, spec, features(spec))
     payload = {"kind": args.kind, "p": args.p, "operators": operators}
     doc = result_document("dirac", args.input, payload)
     stem = Path(args.input).stem
     out = Path(args.out) / f"{stem}.dirac.json"
     write_json(out, doc)
     if args.dump_matrices:
-        dumps = {f"laplacian_{n}": laplacian(c, n, args.max_dense).matrix for n in range(args.p + 1)}
-        dumps[f"down_laplacian_{args.p + 1}"] = down.matrix
-        dumps[f"dirac_{args.p}"] = d.matrix
-        for name, matrix in dumps.items():
-            rows = [[f"{v:.12g}" for v in row] for row in matrix]
+        for name, op in built.items():
+            rows = [[f"{v:.12g}" for v in row] for row in op.matrix]
             write_csv(Path(args.out) / f"{stem}.{name}.csv",
-                      [f"c{j}" for j in range(matrix.shape[1])], rows)
+                      [f"c{j}" for j in range(op.matrix.shape[1])], rows)
     print(
         f"dirac p={args.p}: size={d.matrix.shape[0]} nullity={d.exact_nullity} -> {out}"
     )
@@ -233,7 +223,7 @@ def cmd_check(args) -> int:
     else:
         graph = load_graph(args.input, args.kind)
         c = _build(args, graph)
-        results = graph_check_suite(graph, c, corrupt=args.debug_corrupt)
+        results = graph_check_suite(graph, c)
     failed = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -31,25 +32,28 @@ def _data_lines(text: str):
         yield lineno, line
 
 
-def _directive(text: str, name: str) -> str | None:
-    """Value of a `# name: ...` comment directive, if present."""
+def _directive(text: str, name: str) -> tuple[int | None, str | None]:
+    """(line number, value) of a `# name: ...` comment directive, or (None, None)."""
     prefix = f"# {name}:"
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if line.lower().startswith(prefix):
-            return line[len(prefix):].strip()
-    return None
+            return lineno, line[len(prefix):].strip()
+    return None, None
+
+
+def _declared_vertices(text: str, path: str | None) -> list[int]:
+    """Vertex ids listed by a `# vertices: ...` directive (empty without one)."""
+    _, decl = _directive(text, "vertices")
+    try:
+        return [int(tok) for tok in (decl or "").split()]
+    except ValueError:
+        raise ParseError("vertex declaration must list integers", path) from None
 
 
 def parse_digraph(text: str, path: str | None = None) -> Digraph:
     """One `u v` pair per line; `# vertices: ...` declares isolated vertices."""
-    vertices = []
-    decl = _directive(text, "vertices")
-    if decl is not None:
-        try:
-            vertices = [int(tok) for tok in decl.split()]
-        except ValueError:
-            raise ParseError("vertex declaration must list integers", path) from None
+    vertices = _declared_vertices(text, path)
     edges = []
     for lineno, line in _data_lines(text):
         parts = line.split()
@@ -68,13 +72,7 @@ def parse_digraph(text: str, path: str | None = None) -> Digraph:
 
 def parse_hypergraph(text: str, path: str | None = None) -> Hypergraph:
     """One hyperedge per line as space-separated vertex ids."""
-    vertices = []
-    decl = _directive(text, "vertices")
-    if decl is not None:
-        try:
-            vertices = [int(tok) for tok in decl.split()]
-        except ValueError:
-            raise ParseError("vertex declaration must list integers", path) from None
+    vertices = _declared_vertices(text, path)
     hyperedges = []
     for lineno, line in _data_lines(text):
         try:
@@ -106,10 +104,10 @@ def parse_manifest(text: str, base_dir, path: str | None = None) -> Filtration:
     Weighted form, selected by a `# thresholds: t1 t2 ...` directive: data
     lines are `u v w` weighted directed edges; stage i keeps edges with
     w <= t_i and every vertex is present from stage 1. A `# vertices: ...`
-    directive declares isolated vertices.
+    directive declares isolated vertices. Thresholds and weights must be finite.
     """
     base_dir = Path(base_dir)
-    thresholds_decl = _directive(text, "thresholds")
+    thresholds_line, thresholds_decl = _directive(text, "thresholds")
     if thresholds_decl is not None:
         try:
             thresholds = [float(tok) for tok in thresholds_decl.split()]
@@ -117,10 +115,9 @@ def parse_manifest(text: str, base_dir, path: str | None = None) -> Filtration:
             raise ParseError("thresholds must be numbers", path) from None
         if not thresholds:
             raise ParseError("threshold list is empty", path)
-        vertices = []
-        decl = _directive(text, "vertices")
-        if decl is not None:
-            vertices = [int(tok) for tok in decl.split()]
+        if not all(math.isfinite(t) for t in thresholds):
+            raise ParseError("thresholds must be finite", path, thresholds_line)
+        vertices = _declared_vertices(text, path)
         weighted = []
         for lineno, line in _data_lines(text):
             parts = line.split()
@@ -130,6 +127,8 @@ def parse_manifest(text: str, base_dir, path: str | None = None) -> Filtration:
                 u, v, w = int(parts[0]), int(parts[1]), float(parts[2])
             except ValueError:
                 raise ParseError(f"bad weighted edge {line!r}", path, lineno) from None
+            if not math.isfinite(w):
+                raise ParseError(f"edge weight must be finite, got {line!r}", path, lineno)
             weighted.append((u, v, w))
         all_vertices = set(vertices) | {u for u, _, _ in weighted} | {v for _, v, _ in weighted}
         stages = []
@@ -138,7 +137,7 @@ def parse_manifest(text: str, base_dir, path: str | None = None) -> Filtration:
             stages.append(Digraph.of(all_vertices, edges))
         return Filtration.of(stages, thresholds)
 
-    kind = _directive(text, "kind") or "digraph"
+    kind = _directive(text, "kind")[1] or "digraph"
     if kind not in ("digraph", "hypergraph"):
         raise ParseError(f"manifest kind must be digraph or hypergraph, got {kind!r}", path)
     stages = []

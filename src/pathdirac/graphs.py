@@ -100,6 +100,8 @@ class Hypergraph:
                 raise ParseError("empty hyperedge is not permitted")
             vset.update(e)
             eset.add(e)
+        if any(v < 0 for v in vset):
+            raise ParseError("vertex ids must be non-negative integers")
         return cls(tuple(sorted(vset)), tuple(sorted(eset)))
 
     def is_subhypergraph_of(self, other: "Hypergraph") -> bool:

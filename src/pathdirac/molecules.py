@@ -184,8 +184,6 @@ def distance_filtration(wd: WeightedDigraph, thresholds) -> Filtration:
     thresholds = [float(t) for t in thresholds]
     if not thresholds:
         raise StructuralError("at least one threshold is required")
-    if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
-        raise StructuralError("thresholds must be strictly increasing")
     stages = []
     for t in thresholds:
         edges = [e for e in wd.digraph.edges if wd.weights[e] <= t]

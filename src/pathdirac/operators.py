@@ -126,8 +126,6 @@ def dirac(c: ChainComplex, p: int, dense_limit: int = DEFAULT_DENSE_LIMIT) -> Di
         raise ValueError(f"dirac degree {p} needs the complex built to degree {p + 1}")
     blocks = [c.degrees[k].boundary_ortho for k in range(1, p + 2)]
     nullity = sum(c.betti(i) for i in range(p + 1)) + c.down_nullity(p + 1)
-    if not blocks:
-        return Dirac(p, np.zeros((c.dim(0), c.dim(0))), [0, c.dim(0)], nullity)
     return dirac_from_blocks(blocks, nullity, p, dense_limit)
 
 
@@ -203,10 +201,11 @@ def features(spec: Spectrum) -> FeatureSet:
 class DiracSquareReport:
     degree: int
     passed: bool
-    max_block_defect: float
     off_block_defect: float
     nullity_lhs: int
     nullity_rhs: int
+    symmetry_defect: float
+    float_nullity: int  # operator size minus its SVD rank
     detail: str
 
 
@@ -215,18 +214,17 @@ def verify_dirac_square(c: ChainComplex, p: int, tol: float = 1e-10) -> DiracSqu
 
     The square must match blockdiag(L_0, ..., L_p, Down_{p+1}) entrywise and
     the exact kernel dimension of D_p must equal the Betti sum through degree
-    p plus the kernel dimension of the top down part.
+    p plus the kernel dimension of the top down part. The report also carries
+    the spectrum's symmetry defect and the float-rank form of the nullity.
     """
     d = dirac(c, p)
     square = d.matrix @ d.matrix
     offsets = d.block_offsets
     blocks = [laplacian(c, i).matrix for i in range(p + 1)] + [down_laplacian(c, p + 1).matrix]
-    max_defect = 0.0
     expect = np.zeros_like(square)
     for k, blk in enumerate(blocks):
         r0, r1 = offsets[k], offsets[k + 1]
         expect[r0:r1, r0:r1] = blk
-        max_defect = max(max_defect, float(np.max(np.abs(square[r0:r1, r0:r1] - blk))) if blk.size else 0.0)
     off_defect = float(np.max(np.abs(square - expect))) if square.size else 0.0
     lhs = d.exact_nullity
     rhs = sum(c.betti(i) for i in range(p + 1)) + c.down_nullity(p + 1)
@@ -236,7 +234,8 @@ def verify_dirac_square(c: ChainComplex, p: int, tol: float = 1e-10) -> DiracSqu
     detail = (
         f"square defect {off_defect:.3e}, nullity {lhs} vs {rhs}, spectrum symmetry {sym:.3e}"
     )
-    return DiracSquareReport(p, passed, max_defect, off_defect, lhs, rhs, detail)
+    float_nullity = d.matrix.shape[0] - float_rank(d.matrix)
+    return DiracSquareReport(p, passed, off_defect, lhs, rhs, sym, float_nullity, detail)
 
 
 def float_rank(matrix: np.ndarray, rel_tol: float = 1e-8) -> int:

@@ -9,6 +9,7 @@ case.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -20,6 +21,7 @@ from .chain import (
     build_digraph_complex,
     build_hypergraph_complex,
     embed_paths,
+    nonzero_composition,
     orthonormal_basis,
 )
 from .errors import StructuralError
@@ -32,6 +34,7 @@ from .operators import (
     dirac_from_blocks,
     eigen_spectrum,
     features,
+    float_rank,
 )
 from .rational import QMatrix
 
@@ -53,6 +56,14 @@ class Filtration:
         kinds = {type(s) for s in stages}
         if len(kinds) != 1:
             raise StructuralError("filtration stages must all be digraphs or all hypergraphs")
+        if thresholds is not None:
+            thresholds = tuple(float(t) for t in thresholds)
+            if len(thresholds) != len(stages):
+                raise StructuralError("threshold count must match stage count")
+            if not all(math.isfinite(t) for t in thresholds):
+                raise StructuralError("thresholds must be finite")
+            if not all(a < b for a, b in zip(thresholds, thresholds[1:])):
+                raise StructuralError("thresholds must be strictly increasing")
         for i in range(len(stages) - 1):
             ok = (
                 stages[i].is_subgraph_of(stages[i + 1])
@@ -63,12 +74,6 @@ class Filtration:
                 raise StructuralError(
                     f"filtration nesting violated between stages {i + 1} and {i + 2}"
                 )
-        if thresholds is not None:
-            thresholds = tuple(float(t) for t in thresholds)
-            if len(thresholds) != len(stages):
-                raise StructuralError("threshold count must match stage count")
-            if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
-                raise StructuralError("thresholds must be strictly increasing")
         return cls(stages, thresholds)
 
     def __len__(self) -> int:
@@ -134,14 +139,6 @@ class AuxiliaryComplex:
         return self.dim(k) - self.rank_dc(k)
 
 
-def _solve_or_empty(basis: QMatrix, image: QMatrix) -> QMatrix:
-    if basis.cols == 0:
-        if not image.is_zero():
-            raise StructuralError("boundary image escapes a zero-dimensional space")
-        return QMatrix(0, image.cols)
-    return qa.solve(basis, image)
-
-
 def auxiliary_complex(stages: StageComplexes, a: int, b: int) -> AuxiliaryComplex:
     """Build the auxiliary complex for the stage pair a <= b to the built degree."""
     if not 1 <= a <= b <= len(stages):
@@ -152,13 +149,7 @@ def auxiliary_complex(stages: StageComplexes, a: int, b: int) -> AuxiliaryComple
     a_in_b: list[QMatrix] = []
     for k in range(p_top + 1):
         embed = embed_paths(ca.degrees[k].paths, cb.degrees[k].paths)
-        embedded = embed @ ca.degrees[k].omega
-        if cb.dim(k) == 0:
-            if not embedded.is_zero():
-                raise StructuralError("stage inclusion failed: smaller stage escapes larger")
-            a_in_b.append(QMatrix(0, ca.dim(k)))
-        else:
-            a_in_b.append(qa.solve(cb.degrees[k].omega, embedded))
+        a_in_b.append(qa.solve(cb.degrees[k].omega, embed @ ca.degrees[k].omega))
 
     c_bases: list[QMatrix] = [QMatrix.identity(cb.dim(0))]
     for k in range(1, p_top + 1):
@@ -168,8 +159,8 @@ def auxiliary_complex(stages: StageComplexes, a: int, b: int) -> AuxiliaryComple
     d_ba: list[QMatrix] = [QMatrix(0, c_bases[0].cols)]
     for k in range(1, p_top + 1):
         image = cb.degrees[k].boundary @ c_bases[k]
-        d_c.append(_solve_or_empty(c_bases[k - 1], image))
-        d_ba.append(_solve_or_empty(a_in_b[k - 1], image))
+        d_c.append(qa.solve(c_bases[k - 1], image))
+        d_ba.append(qa.solve(a_in_b[k - 1], image))
 
     ortho_c: list[np.ndarray] = []
     for k in range(p_top + 1):
@@ -187,9 +178,9 @@ def _verify_sandwich(aux: AuxiliaryComplex) -> None:
             raise StructuralError(
                 f"containment of stage {aux.a} in the auxiliary space fails at degree {k}"
             )
-    for k in range(2, aux.p_top + 1):
-        if not (aux.d_c[k - 1] @ aux.d_c[k]).is_zero():
-            raise StructuralError(f"auxiliary boundary composition at degree {k} is nonzero")
+    k = nonzero_composition(aux.d_c)
+    if k is not None:
+        raise StructuralError(f"auxiliary boundary composition at degree {k} is nonzero")
 
 
 def persistent_dirac(aux: AuxiliaryComplex, p: int,
@@ -232,14 +223,12 @@ def persistent_nullity_report(aux: AuxiliaryComplex, p: int) -> dict:
 
     The exact route sums auxiliary Betti numbers and the top kernel
     dimension; the numeric route counts reconciled zero eigenvalues and a
-    float rank of the assembled matrix.
+    float rank of the assembled matrix. The spectrum is returned as well.
     """
     d = persistent_dirac(aux, p)
-    exact = sum(aux.betti(i) for i in range(p + 1)) + aux.down_nullity(p + 1)
+    exact = d.exact_nullity
     spec = eigen_spectrum(d.matrix, exact)
     zero_count = int(np.sum(np.abs(spec.values) <= spec.zero_threshold))
-    from .operators import float_rank
-
     dim_total = d.matrix.shape[0]
     frank = float_rank(d.matrix)
     ok = zero_count == exact and dim_total - frank == exact
@@ -252,6 +241,7 @@ def persistent_nullity_report(aux: AuxiliaryComplex, p: int) -> dict:
         "betti": [aux.betti(i) for i in range(p + 1)],
         "top_kernel": aux.down_nullity(p + 1),
         "passed": ok,
+        "spectrum": spec,
     }
 
 

@@ -100,16 +100,6 @@ class QMatrix:
                             orow[j] += s * t
         return out
 
-    def column(self, j: int) -> list:
-        return [self.data[i][j] for i in range(self.rows)]
-
-    def select_columns(self, indices) -> "QMatrix":
-        out = QMatrix(self.rows, len(indices))
-        for i in range(self.rows):
-            row = self.data[i]
-            out.data[i] = [row[j] for j in indices]
-        return out
-
     def is_zero(self) -> bool:
         return all(not x for row in self.data for x in row)
 
@@ -127,14 +117,6 @@ def hstack(a: QMatrix, b: QMatrix) -> QMatrix:
     out = QMatrix(a.rows, a.cols + b.cols)
     for i in range(a.rows):
         out.data[i] = a.data[i] + b.data[i]
-    return out
-
-
-def vstack(a: QMatrix, b: QMatrix) -> QMatrix:
-    if a.cols != b.cols:
-        raise ValueError("column count mismatch in vstack")
-    out = QMatrix(a.rows + b.rows, a.cols)
-    out.data = [row[:] for row in a.data] + [row[:] for row in b.data]
     return out
 
 

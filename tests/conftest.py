@@ -1,5 +1,6 @@
 """Shared randomized corpora; seeded so every run sees the same instances."""
 
+import dataclasses
 import random
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from pathdirac import Digraph, Filtration, Hypergraph, StageComplexes, build_digraph_complex
+from pathdirac import operators
 from pathdirac.chain import build_hypergraph_complex
 
 CORPUS_SIZE = 200
@@ -72,3 +74,18 @@ def filtration_corpus():
 @pytest.fixture(scope="session")
 def filtration_stage_complexes(filtration_corpus):
     return [StageComplexes(f, 2) for f in filtration_corpus]
+
+
+@pytest.fixture
+def shifted_laplacian(monkeypatch):
+    """Negative control: the expected block diagonal of every D_p^2 is off by 0.5
+    in its first entry, so the Dirac-square identity must fail."""
+    real = operators.laplacian
+
+    def shifted(c, n, *args, **kwargs):
+        lap = real(c, n, *args, **kwargs)
+        matrix = lap.matrix.copy()
+        matrix[0, 0] += 0.5
+        return dataclasses.replace(lap, matrix=matrix)
+
+    monkeypatch.setattr(operators, "laplacian", shifted)

@@ -1,10 +1,26 @@
 """The identity check suites over deterministic and randomized inputs."""
 
-from pathdirac import Digraph, Filtration, StageComplexes
-from pathdirac.chain import build_digraph_complex, build_hypergraph_complex
+from pathdirac import Digraph, Filtration, Hypergraph, StageComplexes
+from pathdirac import rational as qa
+from pathdirac.chain import build_digraph_complex, build_hypergraph_complex, omega2_generators_fast
 from pathdirac.checks import filtration_check_suite, graph_check_suite
 
 CYCLIC = Digraph.of([0, 1, 2], [(0, 1), (1, 2), (2, 0)])
+
+GRAPH_SUITE_NAMES_P2 = [
+    "boundary-composition-zero",
+    "dirac-square-p0",
+    "dirac-square-p1",
+    "dirac-spectrum-symmetry-p0",
+    "dirac-spectrum-symmetry-p1",
+    "dirac-nullity-identity-p0",
+    "dirac-nullity-identity-p1",
+    "exact-vs-float-rank",
+    "h1-closed-form",
+    "omega-vs-infimum",
+    "degree2-fast-path",
+    "embedded-homology",
+]
 
 
 def test_graph_suite_passes_on_cyclic_triangle():
@@ -15,9 +31,20 @@ def test_graph_suite_passes_on_cyclic_triangle():
     assert "embedded-homology" in names
 
 
-def test_graph_suite_negative_control():
-    results = graph_check_suite(CYCLIC, build_digraph_complex(CYCLIC, 2), corrupt=True)
-    assert any(not r.passed for r in results)
+def test_graph_suite_negative_control(shifted_laplacian):
+    results = graph_check_suite(CYCLIC, build_digraph_complex(CYCLIC, 2))
+    failed = [r for r in results if not r.passed]
+    assert failed and failed[0].name == "dirac-square-p0"
+    assert "square defect 5.000e-01" in failed[0].detail
+
+
+def test_graph_suite_names_in_order():
+    results = graph_check_suite(CYCLIC, build_digraph_complex(CYCLIC, 2))
+    assert [r.name for r in results] == GRAPH_SUITE_NAMES_P2
+    h = Hypergraph.of(range(4), [(0, 1, 2), (2, 3)])
+    results = graph_check_suite(h, build_hypergraph_complex(h, 2))
+    assert [r.name for r in results] == GRAPH_SUITE_NAMES_P2
+    assert all(r.passed for r in results)
 
 
 def test_graph_suite_on_random_corpus(digraph_corpus, hypergraph_corpus):
@@ -48,15 +75,9 @@ def test_filtration_suite_example_pairs():
 
 
 def test_fast_degree2_constructor_agrees():
-    import numpy as np
-
-    from pathdirac.operators import dirac, eigen_spectrum
-
+    # The triangle/square generators are an independent basis of the kernel-method Omega_2.
     for g in (CYCLIC, Digraph.of([0, 1, 2, 3], [(0, 1), (0, 3), (1, 2), (3, 2), (0, 2)])):
-        generic = build_digraph_complex(g, 2)
-        fast = build_digraph_complex(g, 2, fast_degree2=True)
-        assert generic.betti_vector() == fast.betti_vector()
-        d1, d2 = dirac(generic, 1), dirac(fast, 1)
-        s1 = eigen_spectrum(d1.matrix, d1.exact_nullity).values
-        s2 = eigen_spectrum(d2.matrix, d2.exact_nullity).values
-        np.testing.assert_allclose(s1, s2, atol=1e-8)
+        c = build_digraph_complex(g, 2)
+        fast = omega2_generators_fast(g, c.degrees[2].paths)
+        assert qa.spans_equal(fast, c.degrees[2].omega)
+        assert qa.rank(fast) == fast.cols == c.dim(2)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from pathdirac import Digraph, build_digraph_complex, dirac, down_laplacian, laplacian
 from pathdirac.cli import main
 
 CYCLIC = "0 1\n1 2\n2 0\n"
@@ -117,10 +118,10 @@ def test_check_command_passes(cyclic_file, capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
-def test_check_negative_control(cyclic_file, capsys):
-    assert main(["check", str(cyclic_file), "--debug-corrupt"]) == 4
+def test_check_negative_control(cyclic_file, capsys, shifted_laplacian):
+    assert main(["check", str(cyclic_file)]) == 4
     out = capsys.readouterr().out
-    assert "FAIL" in out
+    assert "FAIL dirac-square-p0:" in out
 
 
 def test_check_filtration(tmp_path, capsys):
@@ -180,3 +181,52 @@ def test_broken_nesting_manifest_exit(tmp_path):
     manifest = tmp_path / "filt.txt"
     manifest.write_text("s1.txt\ns2.txt\n", encoding="utf-8")
     assert main(["persist", str(manifest), "--out", str(tmp_path)]) == 4
+
+
+def test_dirac_dump_matrices_match_library(cyclic_file, tmp_path):
+    out = tmp_path / "out"
+    assert main(["dirac", str(cyclic_file), "--p", "1", "--dump-matrices", "--out", str(out)]) == 0
+    c = build_digraph_complex(Digraph.of([0, 1, 2], [(0, 1), (1, 2), (2, 0)]), 2)
+    expected = {
+        "laplacian_0": laplacian(c, 0).matrix,
+        "laplacian_1": laplacian(c, 1).matrix,
+        "down_laplacian_2": down_laplacian(c, 2).matrix,
+        "dirac_1": dirac(c, 1).matrix,
+    }
+    for name, matrix in expected.items():
+        lines = (out / f"cyclic.{name}.csv").read_text().splitlines()
+        assert lines[0] == ",".join(f"c{j}" for j in range(matrix.shape[1]))
+        rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+        assert len(rows) == matrix.shape[0] and all(len(r) == matrix.shape[1] for r in rows), name
+        rounded = [[float(f"{v:.12g}") for v in row] for row in matrix]
+        assert rows == rounded, name
+
+
+def test_weighted_manifest_bad_vertex_declaration(tmp_path, capsys):
+    manifest = tmp_path / "m.txt"
+    manifest.write_text("# thresholds: 0 1\n# vertices: 0 x\n0 1 1\n", encoding="utf-8")
+    assert main(["persist", str(manifest), "--out", str(tmp_path)]) == 2
+    assert "m.txt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["persist", "check"])
+def test_non_finite_manifest_threshold_exit_code(tmp_path, capsys, command):
+    manifest = tmp_path / "m.txt"
+    manifest.write_text("# thresholds: 0 nan 2\n# vertices: 0 1 2\n0 1 1\n", encoding="utf-8")
+    extra = ["--kind", "filtration"] if command == "check" else []
+    assert main([command, str(manifest), *extra, "--out", str(tmp_path)]) == 2
+    assert "m.txt:1:" in capsys.readouterr().err
+
+
+def test_non_finite_manifest_weight_exit_code(tmp_path, capsys):
+    manifest = tmp_path / "m.txt"
+    manifest.write_text("# thresholds: 0 1 2\n0 1 1\n1 2 nan\n", encoding="utf-8")
+    assert main(["persist", str(manifest), "--out", str(tmp_path)]) == 2
+    assert "m.txt:3:" in capsys.readouterr().err
+
+
+def test_molecule_non_finite_threshold_exit_code(tmp_path):
+    xyz = tmp_path / "water.xyz"
+    xyz.write_text(WATER, encoding="utf-8")
+    code = main(["molecule", str(xyz), "--thresholds", "0.5", "nan", "2", "--out", str(tmp_path)])
+    assert code == 4  # structural violation of the threshold contract

@@ -37,6 +37,15 @@ def test_digraph_rejects_loops():
         Digraph.of([0, 1], [(0, 0)])
 
 
+def test_negative_vertex_ids_rejected():
+    with pytest.raises(ParseError, match="non-negative"):
+        Digraph.of([-1, 0], [])
+    with pytest.raises(ParseError, match="non-negative"):
+        Hypergraph.of([-3, 0, 1], [(0, 1)])
+    with pytest.raises(ParseError, match="non-negative"):
+        Hypergraph.of([0, 1], [(-1, 0)])
+
+
 def test_isolated_vertices_kept_in_degree_zero():
     g = Digraph.of([0, 1, 2, 5], [(0, 1)])
     assert anchor_paths(g, 0) == [(0,), (1,), (2,), (5,)]

@@ -43,6 +43,9 @@ def test_filtration_rejects_bad_thresholds():
         Filtration.of([a, b], thresholds=[1.0, 1.0])
     with pytest.raises(StructuralError):
         Filtration.of([a, b], thresholds=[1.0])
+    for bad in ([0.0, float("nan")], [0.0, float("inf")], [float("-inf"), 0.0]):
+        with pytest.raises(StructuralError):
+            Filtration.of([a, b], thresholds=bad)
 
 
 def test_filtration_rejects_mixed_kinds():
