@@ -77,31 +77,31 @@ class DegreeData:
     paths: list[Path]
     omega: QMatrix  # columns: basis of the invariant subspace, path coordinates
     boundary: QMatrix  # exact map to the previous degree's omega basis (k >= 1)
-    allowed_block: QMatrix  # boundary into path coordinates of degree k-1
+    allowed_block: np.ndarray  # boundary into path coordinates of degree k-1
     ortho: np.ndarray  # orthonormal basis, path coordinates
     boundary_ortho: np.ndarray  # boundary in orthonormal bases
 
-    @property
-    def dim(self) -> int:
-        return self.omega.cols
 
+class ExactComplex:
+    """Exact boundaries per degree and the ranks and Betti numbers they fix.
 
-class ChainComplex:
-    """Per-degree invariant subspaces with exact and orthonormal boundary data."""
+    boundaries[k] maps degree k to degree k-1; boundaries[0] has no rows, so
+    every degree's dimension is its boundary's column count.
+    """
 
-    def __init__(self, degrees: list[DegreeData]):
-        self.degrees = degrees
-        self.p_top = len(degrees) - 1
+    def __init__(self, boundaries: list[QMatrix]):
+        self.boundaries = boundaries
+        self.p_top = len(boundaries) - 1
 
     def dim(self, k: int) -> int:
         if 0 <= k <= self.p_top:
-            return self.degrees[k].dim
+            return self.boundaries[k].cols
         return 0
 
     def boundary_rank(self, k: int) -> int:
         """Exact rank of the boundary map out of degree k (0 beyond the built range)."""
         if 1 <= k <= self.p_top:
-            return qa.rank(self.degrees[k].boundary)
+            return qa.rank(self.boundaries[k])
         return 0
 
     def betti(self, k: int) -> int:
@@ -116,6 +116,17 @@ class ChainComplex:
     def down_nullity(self, k: int) -> int:
         """Exact kernel dimension of the boundary map out of degree k."""
         return self.dim(k) - self.boundary_rank(k)
+
+
+class ChainComplex(ExactComplex):
+    """Per-degree invariant subspaces with exact and orthonormal boundary data."""
+
+    def __init__(self, degrees: list[DegreeData]):
+        super().__init__([d.boundary for d in degrees])
+        self.degrees = degrees
+        k = nonzero_composition(self.boundaries)
+        if k is not None:
+            raise StructuralError(f"boundary composition at degree {k} is nonzero")
 
 
 def orthonormal_basis(basis: QMatrix) -> np.ndarray:
@@ -163,7 +174,7 @@ def build_complex(paths_per_degree: list[list[Path]]) -> ChainComplex:
             paths=paths_per_degree[0],
             omega=omega0,
             boundary=QMatrix(0, n0),
-            allowed_block=QMatrix(0, n0),
+            allowed_block=np.zeros((0, n0)),
             ortho=np.eye(n0),
             boundary_ortho=np.zeros((0, n0)),
         )
@@ -176,23 +187,15 @@ def build_complex(paths_per_degree: list[list[Path]]) -> ChainComplex:
         prev = degrees[k - 1]
         # boundary of each basis vector, re-expressed in the previous degree's basis
         boundary = qa.solve(prev.omega, allowed @ omega)
-        ortho = orthonormal_basis(omega)
-        boundary_ortho = prev.ortho.T @ (allowed.to_float() @ ortho)
-        degrees.append(
-            DegreeData(
-                paths=paths_k,
-                omega=omega,
-                boundary=boundary,
-                allowed_block=allowed,
-                ortho=ortho,
-                boundary_ortho=boundary_ortho,
-            )
-        )
-    cplx = ChainComplex(degrees)
-    k = nonzero_composition([d.boundary for d in degrees])
-    if k is not None:
-        raise StructuralError(f"boundary composition at degree {k} is nonzero")
-    return cplx
+        degrees.append(degree_data(paths_k, omega, boundary, allowed.to_float(), prev))
+    return ChainComplex(degrees)
+
+
+def degree_data(paths: list[Path], omega: QMatrix, boundary: QMatrix,
+                allowed: np.ndarray, prev: DegreeData) -> DegreeData:
+    """One degree k >= 1 from its exact basis and boundary and the float allowed block."""
+    ortho = orthonormal_basis(omega)
+    return DegreeData(paths, omega, boundary, allowed, ortho, prev.ortho.T @ (allowed @ ortho))
 
 
 def nonzero_composition(boundaries: list[QMatrix]) -> int | None:
@@ -243,19 +246,12 @@ def omega2_generators_fast(g: Digraph, paths2: list[Path]) -> QMatrix:
 # Generic ambient complexes and infimum/supremum subcomplexes
 
 
-@dataclass
-class AmbientComplex:
-    """Explicit basis labels and exact boundary matrices for degrees 0..top."""
+class AmbientComplex(ExactComplex):
+    """Explicit basis labels and exact boundary matrices for degrees 0..p_top."""
 
-    labels: list[list[Path]]
-    boundaries: list[QMatrix]  # boundaries[k]: degree k -> degree k-1; boundaries[0] has 0 rows
-
-    @property
-    def top(self) -> int:
-        return len(self.labels) - 1
-
-    def dim(self, k: int) -> int:
-        return len(self.labels[k])
+    def __init__(self, labels: list[list[Path]], boundaries: list[QMatrix]):
+        super().__init__(boundaries)
+        self.labels = labels
 
 
 def deletion_closure_complex(paths_per_degree: list[list[Path]]) -> AmbientComplex:
@@ -291,29 +287,12 @@ def embed_paths(sub: list[Path], ambient: list[Path]) -> QMatrix:
     return out
 
 
-@dataclass
-class SubcomplexRep:
+class SubcomplexRep(ExactComplex):
     """Per-degree bases (ambient coordinates) plus restricted boundary maps."""
 
-    bases: list[QMatrix]
-    boundaries: list[QMatrix]
-
-    @property
-    def top(self) -> int:
-        return len(self.bases) - 1
-
-    def dim(self, k: int) -> int:
-        return self.bases[k].cols
-
-    def betti(self, k: int) -> int:
-        if k + 1 > self.top:
-            raise ValueError(f"betti({k}) needs degree {k + 1}")
-        r_k = qa.rank(self.boundaries[k]) if k >= 1 else 0
-        r_k1 = qa.rank(self.boundaries[k + 1])
-        return self.dim(k) - r_k - r_k1
-
-    def betti_vector(self) -> list[int]:
-        return [self.betti(k) for k in range(self.top)]
+    def __init__(self, bases: list[QMatrix], boundaries: list[QMatrix]):
+        super().__init__(boundaries)
+        self.bases = bases
 
 
 def _restricted_boundaries(ambient: AmbientComplex, bases: list[QMatrix]) -> list[QMatrix]:

@@ -30,6 +30,7 @@ from .graphs import (
     h1_rank_digraph,
     h1_rank_hypergraph,
     symmetric_closure,
+    underlying_graph,
 )
 from .operators import dirac, eigen_spectrum, float_rank, laplacian, verify_dirac_square
 from .persistence import (
@@ -152,6 +153,14 @@ def graph_check_suite(graph: Digraph | Hypergraph, c: ChainComplex) -> list[Chec
     return results
 
 
+def pair_beta0(stage_a: Digraph | Hypergraph, stage_b: Digraph | Hypergraph) -> int:
+    """beta_0 of the auxiliary complex: |V(b) minus V(a)| plus the components of
+    stage b (of its essential graph for hypergraphs) that contain a stage-a vertex."""
+    va = set(stage_a.vertices)
+    g = underlying_graph(stage_b) if isinstance(stage_b, Digraph) else essential_graph(stage_b)
+    return len(set(stage_b.vertices) - va) + sum(1 for comp in g.components() if comp & va)
+
+
 def filtration_check_suite(stages: StageComplexes, p: int = 1) -> list[CheckResult]:
     """Per-pair persistence identities: reduction, containment, monotone kernels."""
     results: list[CheckResult] = []
@@ -196,10 +205,11 @@ def filtration_check_suite(stages: StageComplexes, p: int = 1) -> list[CheckResu
                 )
             beta0_aux = aux.betti(0)
             beta0_m = stages.stage(b).betti(0)
+            graphs = stages.filtration.stages
             results.append(
                 _result(
                     f"beta0-pair{tag}",
-                    beta0_aux == beta0_m,
+                    beta0_aux == pair_beta0(graphs[a - 1], graphs[b - 1]),
                     f"auxiliary {beta0_aux}, stage-m {beta0_m}",
                 )
             )

@@ -51,11 +51,25 @@ class CliParser(argparse.ArgumentParser):
         sys.exit(1)
 
 
+def _int_at_least(minimum: int):
+    """argparse type: an integer no smaller than minimum (a usage error otherwise)."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its invalid-value message
+    return parse
+
+
 def build_parser() -> CliParser:
     parser = CliParser(prog="pathdirac", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, degree_help=None):
+        p.add_argument("--p", type=_int_at_least(0), default=1, help=degree_help)
         p.add_argument("--out", default=".", help="output directory (default: current)")
         p.add_argument("--cap", type=int, default=DEFAULT_PATH_CAP,
                        help="max anchor paths per degree")
@@ -67,41 +81,36 @@ def build_parser() -> CliParser:
     p_complex = sub.add_parser("complex", help="invariant subspace dims, ranks, Betti numbers")
     p_complex.add_argument("input")
     p_complex.add_argument("--kind", choices=("digraph", "hypergraph"), default="digraph")
-    p_complex.add_argument("--p", type=int, default=1, help="top homology degree to report")
     p_complex.add_argument("--dump-matrices", action="store_true",
                            help="include exact boundary matrices in the JSON")
-    common(p_complex)
+    common(p_complex, "top homology degree to report")
 
     p_dirac = sub.add_parser("dirac", help="Laplacian/Dirac spectra and features")
     p_dirac.add_argument("input")
     p_dirac.add_argument("--kind", choices=("digraph", "hypergraph"), default="digraph")
-    p_dirac.add_argument("--p", type=int, default=1, help="Dirac operator degree")
     p_dirac.add_argument("--dump-matrices", action="store_true",
                          help="also write operator matrices as CSV")
-    common(p_dirac)
+    common(p_dirac, "Dirac operator degree")
+
+    def grid(p):
+        p.add_argument("--features", nargs="+", default=list(DEFAULT_FEATURES))
+        p.add_argument("--jobs", type=_int_at_least(1), default=1)
+        p.add_argument("--annotate", action="store_true", help="write values into heatmap cells")
+        common(p)
 
     p_persist = sub.add_parser("persist", help="persistent Dirac feature grid of a filtration")
     p_persist.add_argument("manifest")
-    p_persist.add_argument("--p", type=int, default=1)
-    p_persist.add_argument("--features", nargs="+", default=list(DEFAULT_FEATURES))
-    p_persist.add_argument("--jobs", type=int, default=1)
-    p_persist.add_argument("--annotate", action="store_true", help="write values into heatmap cells")
-    common(p_persist)
+    grid(p_persist)
 
     p_mol = sub.add_parser("molecule", help="bond digraph filtration pipeline from an XYZ file")
     p_mol.add_argument("input")
     p_mol.add_argument("--thresholds", type=float, nargs="+", required=True)
-    p_mol.add_argument("--p", type=int, default=1)
-    p_mol.add_argument("--features", nargs="+", default=list(DEFAULT_FEATURES))
-    p_mol.add_argument("--jobs", type=int, default=1)
-    p_mol.add_argument("--annotate", action="store_true")
-    common(p_mol)
+    grid(p_mol)
 
     p_check = sub.add_parser("check", help="run the identity verification suite")
     p_check.add_argument("input")
     p_check.add_argument("--kind", choices=("digraph", "hypergraph", "filtration"),
                          default="digraph")
-    p_check.add_argument("--p", type=int, default=1)
     common(p_check)
     return parser
 
@@ -180,7 +189,11 @@ def cmd_dirac(args) -> int:
     return 0
 
 
-def _emit_grid(args, grid, source, command) -> int:
+def _emit_grid(args, filtration, tol, source, command) -> int:
+    """Persistent Dirac feature grid of a filtration, written as JSON, CSV and SVG."""
+    stages = StageComplexes(filtration, args.p + 1, args.cap)
+    grid = feature_grid(stages, args.p, tuple(args.features), jobs=args.jobs, zero_tol=tol,
+                        dense_limit=args.max_dense)
     stem = Path(source).stem
     out_dir = Path(args.out)
     doc = result_document(command, source, grid_payload(grid))
@@ -197,11 +210,7 @@ def _emit_grid(args, grid, source, command) -> int:
 
 def cmd_persist(args) -> int:
     tol = _tol(args)
-    filtration = load_manifest(args.manifest)
-    stages = StageComplexes(filtration, args.p + 1, args.cap)
-    grid = feature_grid(stages, args.p, tuple(args.features), jobs=args.jobs, zero_tol=tol,
-                        dense_limit=args.max_dense)
-    return _emit_grid(args, grid, args.manifest, "persist")
+    return _emit_grid(args, load_manifest(args.manifest), tol, args.manifest, "persist")
 
 
 def cmd_molecule(args) -> int:
@@ -209,10 +218,7 @@ def cmd_molecule(args) -> int:
     mol = load_molecule(args.input)
     weighted = bond_digraph(mol)
     filtration = distance_filtration(weighted, args.thresholds)
-    stages = StageComplexes(filtration, args.p + 1, args.cap)
-    grid = feature_grid(stages, args.p, tuple(args.features), jobs=args.jobs, zero_tol=tol,
-                        dense_limit=args.max_dense)
-    return _emit_grid(args, grid, args.input, "molecule")
+    return _emit_grid(args, filtration, tol, args.input, "molecule")
 
 
 def cmd_check(args) -> int:

@@ -86,8 +86,18 @@ def parse_hypergraph(text: str, path: str | None = None) -> Hypergraph:
         raise ParseError(str(exc), path) from None
 
 
+def read_input(path) -> str:
+    """Text of an input file; an unreadable or non-UTF-8 file is a ParseError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot read file: {exc.strerror or exc}", str(path)) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text (byte {exc.start})", str(path)) from None
+
+
 def load_graph(path, kind: str):
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_input(path)
     if kind == "digraph":
         return parse_digraph(text, str(path))
     if kind == "hypergraph":
@@ -153,7 +163,7 @@ def parse_manifest(text: str, base_dir, path: str | None = None) -> Filtration:
 
 def load_manifest(path) -> Filtration:
     p = Path(path)
-    return parse_manifest(p.read_text(encoding="utf-8"), p.parent, str(p))
+    return parse_manifest(read_input(p), p.parent, str(p))
 
 
 # ---------------------------------------------------------------------------

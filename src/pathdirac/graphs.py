@@ -67,7 +67,7 @@ class UndirectedGraph:
             eset.add((min(u, v), max(u, v)))
         return cls(tuple(sorted(vset)), tuple(sorted(eset)))
 
-    def component_count(self) -> int:
+    def components(self) -> list[set[int]]:
         parent = {v: v for v in self.vertices}
 
         def find(x):
@@ -80,7 +80,13 @@ class UndirectedGraph:
             ru, rv = find(u), find(v)
             if ru != rv:
                 parent[ru] = rv
-        return len({find(v) for v in self.vertices})
+        groups: dict[int, set[int]] = {}
+        for v in self.vertices:
+            groups.setdefault(find(v), set()).add(v)
+        return list(groups.values())
+
+    def component_count(self) -> int:
+        return len(self.components())
 
 
 @dataclass(frozen=True)

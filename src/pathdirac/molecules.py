@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ParseError, StructuralError
+from .fileio import read_input
 from .graphs import Digraph
 from .persistence import Filtration
 
@@ -136,8 +137,7 @@ def infer_bonds(atoms: tuple[Atom, ...]) -> set[tuple[int, int]]:
 
 
 def load_molecule(path) -> Molecule:
-    with open(path, encoding="utf-8") as fh:
-        return parse_xyz(fh.read(), str(path))
+    return parse_xyz(read_input(path), str(path))
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,11 @@ import numpy as np
 from . import rational as qa
 from .chain import (
     ChainComplex,
+    DegreeData,
     build_digraph_complex,
     build_hypergraph_complex,
+    degree_data,
     embed_paths,
-    nonzero_composition,
-    orthonormal_basis,
 )
 from .errors import StructuralError
 from .graphs import DEFAULT_PATH_CAP, Digraph, Hypergraph
@@ -31,7 +31,7 @@ from .operators import (
     Dirac,
     FeatureSet,
     Laplacian,
-    dirac_from_blocks,
+    dirac,
     eigen_spectrum,
     features,
     float_rank,
@@ -103,40 +103,20 @@ class StageComplexes:
         return self.complexes[i - 1]
 
 
-@dataclass
-class AuxiliaryComplex:
-    """Preimage complex of a stage pair (a <= b), in stage-b coordinates."""
+class AuxiliaryComplex(ChainComplex):
+    """Preimage complex of a stage pair (a <= b), in stage-b coordinates.
 
-    a: int
-    b: int
-    stage_a: ChainComplex
-    stage_b: ChainComplex
-    a_in_b: list[QMatrix]  # stage-a basis expressed in the stage-b basis, per degree
-    c_bases: list[QMatrix]  # auxiliary space bases in the stage-b basis
-    d_c: list[QMatrix]  # exact boundary C_k -> C_{k-1}
-    d_ba: list[QMatrix]  # exact boundary C_k -> stage-a degree k-1
-    ortho_c: list[np.ndarray]  # orthonormal bases in stage-b path coordinates
+    Degree k holds the stage-b vectors whose boundary lies in the stage-a
+    space; its Betti numbers and Dirac operator are those of any complex.
+    """
 
-    @property
-    def p_top(self) -> int:
-        return len(self.c_bases) - 1
-
-    def dim(self, k: int) -> int:
-        return self.c_bases[k].cols
-
-    def rank_dc(self, k: int) -> int:
-        if 1 <= k <= self.p_top:
-            return qa.rank(self.d_c[k])
-        return 0
-
-    def betti(self, k: int) -> int:
-        """Exact Betti number of the auxiliary complex."""
-        if k + 1 > self.p_top:
-            raise ValueError(f"auxiliary betti({k}) needs degree {k + 1}")
-        return self.dim(k) - self.rank_dc(k) - self.rank_dc(k + 1)
-
-    def down_nullity(self, k: int) -> int:
-        return self.dim(k) - self.rank_dc(k)
+    def __init__(self, a: int, b: int, stage_a: ChainComplex, stage_b: ChainComplex,
+                 a_in_b: list[QMatrix], c_bases: list[QMatrix], degrees: list[DegreeData]):
+        super().__init__(degrees)
+        self.a, self.b = a, b
+        self.stage_a, self.stage_b = stage_a, stage_b
+        self.a_in_b = a_in_b  # stage-a basis expressed in the stage-b basis, per degree
+        self.c_bases = c_bases  # auxiliary space bases in the stage-b basis
 
 
 def auxiliary_complex(stages: StageComplexes, a: int, b: int) -> AuxiliaryComplex:
@@ -152,49 +132,32 @@ def auxiliary_complex(stages: StageComplexes, a: int, b: int) -> AuxiliaryComple
         a_in_b.append(qa.solve(cb.degrees[k].omega, embed @ ca.degrees[k].omega))
 
     c_bases: list[QMatrix] = [QMatrix.identity(cb.dim(0))]
+    degrees: list[DegreeData] = [cb.degrees[0]]
     for k in range(1, p_top + 1):
         c_bases.append(qa.preimage_basis(cb.degrees[k].boundary, a_in_b[k - 1]))
+        d_k = cb.degrees[k]
+        boundary = qa.solve(c_bases[k - 1], d_k.boundary @ c_bases[k])
+        degrees.append(degree_data(d_k.paths, d_k.omega @ c_bases[k], boundary,
+                                   d_k.allowed_block, degrees[k - 1]))
 
-    d_c: list[QMatrix] = [QMatrix(0, c_bases[0].cols)]
-    d_ba: list[QMatrix] = [QMatrix(0, c_bases[0].cols)]
-    for k in range(1, p_top + 1):
-        image = cb.degrees[k].boundary @ c_bases[k]
-        d_c.append(qa.solve(c_bases[k - 1], image))
-        d_ba.append(qa.solve(a_in_b[k - 1], image))
-
-    ortho_c: list[np.ndarray] = []
-    for k in range(p_top + 1):
-        ortho_c.append(orthonormal_basis(cb.degrees[k].omega @ c_bases[k]))
-
-    aux = AuxiliaryComplex(a, b, ca, cb, a_in_b, c_bases, d_c, d_ba, ortho_c)
+    aux = AuxiliaryComplex(a, b, ca, cb, a_in_b, c_bases, degrees)
     _verify_sandwich(aux)
     return aux
 
 
 def _verify_sandwich(aux: AuxiliaryComplex) -> None:
-    """Stage-a space inside the auxiliary space per degree; boundary squares to zero."""
+    """Stage-a space inside the auxiliary space per degree."""
     for k in range(aux.p_top + 1):
         if not qa.is_subspace(aux.a_in_b[k], aux.c_bases[k]):
             raise StructuralError(
                 f"containment of stage {aux.a} in the auxiliary space fails at degree {k}"
             )
-    k = nonzero_composition(aux.d_c)
-    if k is not None:
-        raise StructuralError(f"auxiliary boundary composition at degree {k} is nonzero")
 
 
 def persistent_dirac(aux: AuxiliaryComplex, p: int,
                      dense_limit: int = DEFAULT_DENSE_LIMIT) -> Dirac:
     """Dirac operator of the auxiliary complex over degree blocks 0..p+1."""
-    if not 0 <= p <= aux.p_top - 1:
-        raise ValueError(f"persistent dirac degree {p} needs stages built to degree {p + 1}")
-    cb = aux.stage_b
-    blocks = []
-    for k in range(1, p + 2):
-        allowed = cb.degrees[k].allowed_block.to_float()
-        blocks.append(aux.ortho_c[k - 1].T @ (allowed @ aux.ortho_c[k]))
-    nullity = sum(aux.betti(i) for i in range(p + 1)) + aux.down_nullity(p + 1)
-    return dirac_from_blocks(blocks, nullity, p, dense_limit)
+    return dirac(aux, p, dense_limit)
 
 
 def persistent_laplacian(aux: AuxiliaryComplex, n: int,
@@ -211,10 +174,11 @@ def persistent_laplacian(aux: AuxiliaryComplex, n: int,
     down = b_down.T @ b_down
     embed = embed_paths(ca.degrees[n].paths, cb.degrees[n].paths).to_float()
     q_a = embed @ ca.degrees[n].ortho
-    allowed = cb.degrees[n + 1].allowed_block.to_float()
-    m = q_a.T @ (allowed @ aux.ortho_c[n + 1])
+    m = q_a.T @ (cb.degrees[n + 1].allowed_block @ aux.degrees[n + 1].ortho)
     up = m @ m.T
-    nullity = ca.dim(n) - ca.boundary_rank(n) - qa.rank(aux.d_ba[n + 1])
+    # The auxiliary boundary lands in the stage-a space, whose basis is injective
+    # in stage b, so its rank is the rank of the map into stage a.
+    nullity = ca.dim(n) - ca.boundary_rank(n) - aux.boundary_rank(n + 1)
     return Laplacian(n, up + down, up, down, nullity)
 
 
@@ -256,12 +220,8 @@ def persistent_betti(stages: StageComplexes, a: int, b: int, n: int) -> int:
     cycles_a = qa.kernel_basis(ca.degrees[n].boundary)
     embed = embed_paths(ca.degrees[n].paths, cb.degrees[n].paths)
     emb_omega = embed @ ca.degrees[n].omega
-    if cb.dim(n) == 0:
-        return 0
     z_in_b = qa.solve(cb.degrees[n].omega, emb_omega) @ cycles_a
-    boundaries_b = cb.degrees[n + 1].boundary
-    rank_b = qa.rank(boundaries_b)
-    return qa.rank(qa.hstack(z_in_b, boundaries_b)) - rank_b
+    return qa.rank(qa.hstack(z_in_b, cb.degrees[n + 1].boundary)) - cb.boundary_rank(n + 1)
 
 
 @dataclass
@@ -272,9 +232,6 @@ class FeatureGrid:
     size: int
     feature_names: tuple[str, ...]
     cells: dict[tuple[int, int], FeatureSet] = field(default_factory=dict)
-
-    def value(self, n: int, m: int, name: str) -> float:
-        return getattr(self.cells[(n, m)], name)
 
     def rows(self) -> list[list]:
         out = []

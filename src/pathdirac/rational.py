@@ -54,14 +54,6 @@ class QMatrix:
         out.data = [row[:] for row in self.data]
         return out
 
-    def __getitem__(self, idx):
-        i, j = idx
-        return self.data[i][j]
-
-    def __setitem__(self, idx, value):
-        i, j = idx
-        self.data[i][j] = Fraction(value)
-
     def __eq__(self, other):
         return (
             isinstance(other, QMatrix)
@@ -219,28 +211,8 @@ def column_space_basis(m: QMatrix) -> QMatrix:
     return out
 
 
-def preimage_basis(m: QMatrix, target: QMatrix) -> QMatrix:
-    """Basis of {x : M x in span(target)}.
-
-    Solved as the x-part of ker([M | -target]); the x-parts are then reduced
-    to an independent echelon basis.
-    """
-    if m.rows != target.rows:
-        raise ValueError("codomain dimension mismatch in preimage_basis")
-    neg = QMatrix(target.rows, target.cols)
-    for i in range(target.rows):
-        neg.data[i] = [-x for x in target.data[i]]
-    k = kernel_basis(hstack(m, neg))
-    top = QMatrix(m.cols, k.cols)
-    for i in range(m.cols):
-        top.data[i] = k.data[i][:]
-    return column_space_basis(top)
-
-
-def intersection_basis(a: QMatrix, b: QMatrix) -> QMatrix:
-    """Basis of span(a) ∩ span(b)."""
-    if a.rows != b.rows:
-        raise ValueError("ambient dimension mismatch in intersection_basis")
+def _coefficients_into(a: QMatrix, b: QMatrix) -> QMatrix:
+    """Columns spanning {x : A x in span(b)}: the x-part of ker([A | -b])."""
     neg = QMatrix(b.rows, b.cols)
     for i in range(b.rows):
         neg.data[i] = [-x for x in b.data[i]]
@@ -248,7 +220,21 @@ def intersection_basis(a: QMatrix, b: QMatrix) -> QMatrix:
     coeffs = QMatrix(a.cols, k.cols)
     for i in range(a.cols):
         coeffs.data[i] = k.data[i][:]
-    return column_space_basis(a @ coeffs)
+    return coeffs
+
+
+def preimage_basis(m: QMatrix, target: QMatrix) -> QMatrix:
+    """Echelon basis of {x : M x in span(target)}."""
+    if m.rows != target.rows:
+        raise ValueError("codomain dimension mismatch in preimage_basis")
+    return column_space_basis(_coefficients_into(m, target))
+
+
+def intersection_basis(a: QMatrix, b: QMatrix) -> QMatrix:
+    """Basis of span(a) ∩ span(b)."""
+    if a.rows != b.rows:
+        raise ValueError("ambient dimension mismatch in intersection_basis")
+    return column_space_basis(a @ _coefficients_into(a, b))
 
 
 def sum_space_basis(a: QMatrix, b: QMatrix) -> QMatrix:

@@ -147,7 +147,7 @@ def test_deletion_closure_minimal():
     ambient = deletion_closure_complex(table)
     assert ambient.labels[0] == [(0,), (1,), (2,)]
     assert (0, 2) in ambient.labels[1]  # deletion of (0,1,2) adds the missing pair
-    for k in range(1, ambient.top + 1):
+    for k in range(1, ambient.p_top + 1):
         prod = ambient.boundaries[k - 1] @ ambient.boundaries[k] if k >= 2 else None
         if prod is not None:
             assert prod.is_zero()
@@ -156,10 +156,10 @@ def test_deletion_closure_minimal():
 def test_infimum_of_full_ambient_is_ambient():
     table = anchor_path_table(TRANSITIVE, 2)
     ambient = deletion_closure_complex(table)
-    full = [QMatrix.identity(ambient.dim(k)) for k in range(ambient.top + 1)]
+    full = [QMatrix.identity(ambient.dim(k)) for k in range(ambient.p_top + 1)]
     inf = infimum_complex(ambient, full)
     sup = supremum_complex(ambient, full)
-    for k in range(ambient.top + 1):
+    for k in range(ambient.p_top + 1):
         assert inf.dim(k) == ambient.dim(k)
         assert sup.dim(k) == ambient.dim(k)
 
@@ -167,7 +167,7 @@ def test_infimum_of_full_ambient_is_ambient():
 def test_infimum_of_zero_is_zero():
     table = anchor_path_table(TRANSITIVE, 2)
     ambient = deletion_closure_complex(table)
-    zero = [QMatrix.zeros(ambient.dim(k), 0) for k in range(ambient.top + 1)]
+    zero = [QMatrix.zeros(ambient.dim(k), 0) for k in range(ambient.p_top + 1)]
     assert all(d == 0 for d in (infimum_complex(ambient, zero).dim(k) for k in range(3)))
     assert all(d == 0 for d in (supremum_complex(ambient, zero).dim(k) for k in range(3)))
 

@@ -230,3 +230,67 @@ def test_molecule_non_finite_threshold_exit_code(tmp_path):
     xyz.write_text(WATER, encoding="utf-8")
     code = main(["molecule", str(xyz), "--thresholds", "0.5", "nan", "2", "--out", str(tmp_path)])
     assert code == 4  # structural violation of the threshold contract
+
+
+@pytest.mark.parametrize(
+    "kind, stages, detail",
+    [
+        ("digraph", ["# vertices: 0 1\n0 1\n", "# vertices: 0 1 2\n0 1\n1 2\n"],
+         "PASS beta0-pair(1,2): auxiliary 2, stage-m 1"),
+        ("hypergraph", ["0 1\n", "0 1\n0 1 2\n2 3\n"],
+         "PASS beta0-pair(1,2): auxiliary 3, stage-m 1"),
+    ],
+    ids=["digraph", "hypergraph"],
+)
+def test_check_filtration_growing_vertex_set(tmp_path, capsys, kind, stages, detail):
+    # stage-2 vertices missing from stage 1 stay isolated in the auxiliary complex
+    for i, text in enumerate(stages, start=1):
+        (tmp_path / f"s{i}.txt").write_text(text, encoding="utf-8")
+    manifest = tmp_path / "filt.txt"
+    manifest.write_text(f"# kind: {kind}\ns1.txt\ns2.txt\n", encoding="utf-8")
+    assert main(["check", str(manifest), "--kind", "filtration"]) == 0
+    out = capsys.readouterr().out
+    assert detail in out.splitlines() and "FAIL" not in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["complex", "{graph}", "--p", "-1"],
+        ["dirac", "{graph}", "--p", "-1"],
+        ["check", "{graph}", "--p", "-1"],
+        ["persist", "{manifest}", "--p", "-2"],
+        ["persist", "{manifest}", "--jobs", "0"],
+        ["persist", "{manifest}", "--jobs", "-3"],
+        ["molecule", "{xyz}", "--thresholds", "1", "--jobs", "0"],
+        ["molecule", "{xyz}", "--thresholds", "1", "--p", "-1"],
+    ],
+)
+def test_negative_degree_and_jobs_are_usage_errors(tmp_path, capsys, argv):
+    (tmp_path / "g.txt").write_text(CYCLIC, encoding="utf-8")
+    (tmp_path / "m.txt").write_text("g.txt\n", encoding="utf-8")
+    (tmp_path / "w.xyz").write_text(WATER, encoding="utf-8")
+    paths = {"graph": tmp_path / "g.txt", "manifest": tmp_path / "m.txt", "xyz": tmp_path / "w.xyz"}
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(**paths) for arg in argv] + ["--out", str(tmp_path / "out")])
+    assert exc.value.code == 1
+    assert f"argument {argv[-2]}: must be at least" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["complex", "{missing}"],
+        ["persist", "{missing}"],
+        ["molecule", "{missing}", "--thresholds", "1", "2"],
+        ["complex", "{binary}"],
+        ["check", "{binary}", "--kind", "filtration"],
+        ["molecule", "{binary}", "--thresholds", "1", "2"],
+    ],
+)
+def test_unreadable_input_is_parse_error(tmp_path, capsys, argv):
+    (tmp_path / "binary.txt").write_bytes(b"0 1\n\xff\xfe\n")
+    paths = {"missing": tmp_path / "missing.txt", "binary": tmp_path / "binary.txt"}
+    assert main([arg.format(**paths) for arg in argv] + ["--out", str(tmp_path)]) == 2
+    assert str(paths[argv[1][1:-1]]) in capsys.readouterr().err

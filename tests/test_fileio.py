@@ -10,6 +10,7 @@ from pathdirac.fileio import (
     format_cell,
     grid_csv,
     grid_payload,
+    load_graph,
     load_manifest,
     parse_digraph,
     parse_hypergraph,
@@ -21,6 +22,7 @@ from pathdirac.fileio import (
     write_json,
 )
 from pathdirac.heatmap import grid_heatmap_svg, ramp_color
+from pathdirac.molecules import load_molecule
 from pathdirac.persistence import feature_grid
 
 
@@ -66,6 +68,26 @@ def test_manifest_missing_stage_file(tmp_path):
     manifest.write_text("nope.txt\n", encoding="utf-8")
     with pytest.raises(ParseError):
         load_manifest(manifest)
+
+
+@pytest.mark.parametrize(
+    "load",
+    [lambda path: load_graph(path, "digraph"), load_manifest, load_molecule],
+    ids=["load_graph", "load_manifest", "load_molecule"],
+)
+def test_loaders_name_unreadable_files(tmp_path, load):
+    missing = tmp_path / "missing.txt"
+    with pytest.raises(ParseError) as err:
+        load(missing)
+    assert str(err.value).startswith(f"{missing}: cannot read file")
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"0 1\n\xff\n")
+    with pytest.raises(ParseError) as err:
+        load(binary)
+    assert str(err.value) == f"{binary}: not UTF-8 text (byte 4)"
+    with pytest.raises(ParseError) as err:
+        load(tmp_path)
+    assert str(err.value).startswith(f"{tmp_path}: cannot read file")
 
 
 def test_manifest_weighted_form(tmp_path):

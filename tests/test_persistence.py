@@ -1,12 +1,16 @@
 """Filtrations, auxiliary complexes, and persistent operators."""
 
+import random
+
 import numpy as np
 import pytest
 
-from oracles import oracle_persistent_betti
+from oracles import oracle_persistent_betti, sympy_rank
 from pathdirac import (
+    ChainComplex,
     Digraph,
     Filtration,
+    Hypergraph,
     StageComplexes,
     auxiliary_complex,
     dirac,
@@ -18,6 +22,7 @@ from pathdirac import (
     persistent_laplacian,
 )
 from pathdirac import rational as qa
+from pathdirac.checks import pair_beta0
 from pathdirac.errors import StructuralError
 from pathdirac.persistence import persistent_nullity_report
 
@@ -60,7 +65,7 @@ def test_auxiliary_equal_pair_is_whole_stage():
     aux = auxiliary_complex(stages, 1, 1)
     for k in range(3):
         assert aux.dim(k) == stages.stage(1).dim(k)
-        assert aux.d_c[k] == stages.stage(1).degrees[k].boundary
+        assert aux.degrees[k].boundary == stages.stage(1).degrees[k].boundary
 
 
 def test_auxiliary_vertices_only_smaller_stage():
@@ -88,6 +93,78 @@ def test_sandwich_containment_on_corpus(filtration_stage_complexes):
                 aux = auxiliary_complex(stages, a, b)
                 for k in range(aux.p_top + 1):
                     assert qa.is_subspace(aux.a_in_b[k], aux.c_bases[k])
+
+
+def test_auxiliary_boundary_lands_in_stage_a(filtration_stage_complexes):
+    """The auxiliary boundary is a map into the stage-a space, and its rank there
+    (the rank the persistent Laplacian's nullity uses) is the exact boundary rank."""
+    for stages in filtration_stage_complexes[:60]:
+        n = len(stages)
+        for a in range(1, n + 1):
+            for b in range(a, n + 1):
+                aux = auxiliary_complex(stages, a, b)
+                assert isinstance(aux, ChainComplex)
+                cb = stages.stage(b)
+                for k in range(1, aux.p_top + 1):
+                    into_a = qa.solve(aux.a_in_b[k - 1], cb.degrees[k].boundary @ aux.c_bases[k])
+                    assert sympy_rank(into_a) == aux.boundary_rank(k)
+
+
+def growing_filtration(rng: random.Random, hyper: bool) -> Filtration:
+    """Nested stages over vertex sets range(s_1) <= range(s_2) <= ...; each
+    candidate edge enters at a random stage once all its vertices exist."""
+    sizes = sorted(rng.randint(1, 5) for _ in range(rng.randint(2, 3)))
+    n = sizes[-1]
+    if hyper:
+        candidates = [tuple(rng.sample(range(n), rng.randint(1, min(3, n)))) for _ in range(4)]
+    else:
+        candidates = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.4]
+    birth = {}
+    for e in candidates:
+        first = next(i for i, s in enumerate(sizes) if max(e) < s)
+        birth[e] = rng.randint(first, len(sizes))  # len(sizes): never enters
+    make = Hypergraph.of if hyper else Digraph.of
+    return Filtration.of(
+        [make(range(s), [e for e in candidates if birth[e] <= i]) for i, s in enumerate(sizes)]
+    )
+
+
+def closed_form_beta0(g_a, g_b) -> int:
+    """|V(b) \\ V(a)| plus the components of stage b that meet V(a)."""
+    links = g_b.edges if isinstance(g_b, Digraph) else g_b.hyperedges
+    adj = {v: set() for v in g_b.vertices}
+    for e in links:
+        for u in e:
+            adj[u].update(e)
+    seen, meeting = set(), 0
+    for start in g_b.vertices:
+        if start in seen:
+            continue
+        comp, todo = {start}, [start]
+        while todo:
+            for w in adj[todo.pop()] - comp:
+                comp.add(w)
+                todo.append(w)
+        seen |= comp
+        meeting += bool(comp & set(g_a.vertices))
+    return len(set(g_b.vertices) - set(g_a.vertices)) + meeting
+
+
+@pytest.mark.parametrize("hyper", [False, True], ids=["digraph", "hypergraph"])
+def test_auxiliary_beta0_with_growing_vertex_sets(hyper):
+    rng = random.Random(4004 + hyper)
+    grew = 0
+    for _ in range(60):
+        f = growing_filtration(rng, hyper)
+        stages = StageComplexes(f, 1)
+        for a in range(1, len(f) + 1):
+            for b in range(a, len(f) + 1):
+                g_a, g_b = f.stages[a - 1], f.stages[b - 1]
+                expected = closed_form_beta0(g_a, g_b)
+                assert auxiliary_complex(stages, a, b).betti(0) == expected
+                assert pair_beta0(g_a, g_b) == expected
+                grew += len(g_b.vertices) > len(g_a.vertices)
+    assert grew >= 30
 
 
 def test_persistent_laplacian_equal_pair_matches_ordinary():
