@@ -92,6 +92,7 @@ class ExactComplex:
     def __init__(self, boundaries: list[QMatrix]):
         self.boundaries = boundaries
         self.p_top = len(boundaries) - 1
+        self._ranks: dict[int, int] = {}
 
     def dim(self, k: int) -> int:
         if 0 <= k <= self.p_top:
@@ -99,10 +100,16 @@ class ExactComplex:
         return 0
 
     def boundary_rank(self, k: int) -> int:
-        """Exact rank of the boundary map out of degree k (0 beyond the built range)."""
-        if 1 <= k <= self.p_top:
-            return qa.rank(self.boundaries[k])
-        return 0
+        """Exact rank of the boundary map out of degree k (0 beyond the built range).
+
+        Computed on first use and stored, so each boundary is ranked at most once
+        (threads racing on one complex can only store the same value twice).
+        """
+        if not 1 <= k <= self.p_top:
+            return 0
+        if k not in self._ranks:
+            self._ranks[k] = qa.rank(self.boundaries[k])
+        return self._ranks[k]
 
     def betti(self, k: int) -> int:
         """Exact Betti number; requires degree k+1 to be built."""
@@ -119,14 +126,18 @@ class ExactComplex:
 
 
 class ChainComplex(ExactComplex):
-    """Per-degree invariant subspaces with exact and orthonormal boundary data."""
+    """Per-degree invariant subspaces with exact and orthonormal boundary data.
+
+    The only place ∂∂ = 0 is asserted: every stage and auxiliary complex is
+    built through here, so a nonzero composition never reaches an operator.
+    """
 
     def __init__(self, degrees: list[DegreeData]):
         super().__init__([d.boundary for d in degrees])
         self.degrees = degrees
-        k = nonzero_composition(self.boundaries)
-        if k is not None:
-            raise StructuralError(f"boundary composition at degree {k} is nonzero")
+        for k in range(2, len(degrees)):
+            if not (self.boundaries[k - 1] @ self.boundaries[k]).is_zero():
+                raise StructuralError(f"boundary composition at degree {k} is nonzero")
 
 
 def orthonormal_basis(basis: QMatrix) -> np.ndarray:
@@ -196,14 +207,6 @@ def degree_data(paths: list[Path], omega: QMatrix, boundary: QMatrix,
     """One degree k >= 1 from its exact basis and boundary and the float allowed block."""
     ortho = orthonormal_basis(omega)
     return DegreeData(paths, omega, boundary, allowed, ortho, prev.ortho.T @ (allowed @ ortho))
-
-
-def nonzero_composition(boundaries: list[QMatrix]) -> int | None:
-    """First degree k with boundaries[k-1] @ boundaries[k] nonzero, or None."""
-    for k in range(2, len(boundaries)):
-        if not (boundaries[k - 1] @ boundaries[k]).is_zero():
-            return k
-    return None
 
 
 def build_digraph_complex(g: Digraph, p_top: int, cap: int = DEFAULT_PATH_CAP) -> ChainComplex:

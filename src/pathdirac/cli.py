@@ -71,9 +71,9 @@ def build_parser() -> CliParser:
     def common(p, degree_help=None):
         p.add_argument("--p", type=_int_at_least(0), default=1, help=degree_help)
         p.add_argument("--out", default=".", help="output directory (default: current)")
-        p.add_argument("--cap", type=int, default=DEFAULT_PATH_CAP,
+        p.add_argument("--cap", type=_int_at_least(0), default=DEFAULT_PATH_CAP,
                        help="max anchor paths per degree")
-        p.add_argument("--max-dense", type=int, default=DEFAULT_DENSE_LIMIT,
+        p.add_argument("--max-dense", type=_int_at_least(0), default=DEFAULT_DENSE_LIMIT,
                        help="max dense operator size")
         p.add_argument("--tol", type=float, default=DEFAULT_ZERO_TOL,
                        help="zero-eigenvalue tolerance (within [1e-12, 1e-6])")

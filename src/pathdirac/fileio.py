@@ -114,7 +114,8 @@ def parse_manifest(text: str, base_dir, path: str | None = None) -> Filtration:
     Weighted form, selected by a `# thresholds: t1 t2 ...` directive: data
     lines are `u v w` weighted directed edges; stage i keeps edges with
     w <= t_i and every vertex is present from stage 1. A `# vertices: ...`
-    directive declares isolated vertices. Thresholds and weights must be finite.
+    directive declares isolated vertices. Thresholds and weights must be finite,
+    and thresholds strictly increasing.
     """
     base_dir = Path(base_dir)
     thresholds_line, thresholds_decl = _directive(text, "thresholds")
@@ -127,6 +128,8 @@ def parse_manifest(text: str, base_dir, path: str | None = None) -> Filtration:
             raise ParseError("threshold list is empty", path)
         if not all(math.isfinite(t) for t in thresholds):
             raise ParseError("thresholds must be finite", path, thresholds_line)
+        if any(s >= t for s, t in zip(thresholds, thresholds[1:])):
+            raise ParseError("thresholds must be strictly increasing", path, thresholds_line)
         vertices = _declared_vertices(text, path)
         weighted = []
         for lineno, line in _data_lines(text):

@@ -13,8 +13,6 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import rational as qa
 from .chain import (
     ChainComplex,
@@ -34,7 +32,6 @@ from .operators import (
     dirac,
     eigen_spectrum,
     features,
-    float_rank,
 )
 from .rational import QMatrix
 
@@ -146,12 +143,18 @@ def auxiliary_complex(stages: StageComplexes, a: int, b: int) -> AuxiliaryComple
 
 
 def _verify_sandwich(aux: AuxiliaryComplex) -> None:
-    """Stage-a space inside the auxiliary space per degree."""
+    """Stage-a space inside the auxiliary space per degree.
+
+    The auxiliary bases are echelon bases of full column rank, so one solve
+    decides containment.
+    """
     for k in range(aux.p_top + 1):
-        if not qa.is_subspace(aux.a_in_b[k], aux.c_bases[k]):
+        try:
+            qa.solve(aux.c_bases[k], aux.a_in_b[k])
+        except StructuralError:
             raise StructuralError(
                 f"containment of stage {aux.a} in the auxiliary space fails at degree {k}"
-            )
+            ) from None
 
 
 def persistent_dirac(aux: AuxiliaryComplex, p: int,
@@ -180,33 +183,6 @@ def persistent_laplacian(aux: AuxiliaryComplex, n: int,
     # in stage b, so its rank is the rank of the map into stage a.
     nullity = ca.dim(n) - ca.boundary_rank(n) - aux.boundary_rank(n + 1)
     return Laplacian(n, up + down, up, down, nullity)
-
-
-def persistent_nullity_report(aux: AuxiliaryComplex, p: int) -> dict:
-    """Nullity identity for the persistent Dirac computed along two routes.
-
-    The exact route sums auxiliary Betti numbers and the top kernel
-    dimension; the numeric route counts reconciled zero eigenvalues and a
-    float rank of the assembled matrix. The spectrum is returned as well.
-    """
-    d = persistent_dirac(aux, p)
-    exact = d.exact_nullity
-    spec = eigen_spectrum(d.matrix, exact)
-    zero_count = int(np.sum(np.abs(spec.values) <= spec.zero_threshold))
-    dim_total = d.matrix.shape[0]
-    frank = float_rank(d.matrix)
-    ok = zero_count == exact and dim_total - frank == exact
-    return {
-        "pair": (aux.a, aux.b),
-        "degree": p,
-        "exact_nullity": exact,
-        "zero_eigenvalues": zero_count,
-        "float_rank_nullity": dim_total - frank,
-        "betti": [aux.betti(i) for i in range(p + 1)],
-        "top_kernel": aux.down_nullity(p + 1),
-        "passed": ok,
-        "spectrum": spec,
-    }
 
 
 def persistent_betti(stages: StageComplexes, a: int, b: int, n: int) -> int:

@@ -11,9 +11,11 @@ from oracles import (
     oracle_betti_hypergraph,
     oracle_omega_dims_digraph,
 )
-from pathdirac import Digraph, Hypergraph, boundary_of_path
+from pathdirac import Digraph, Hypergraph, boundary_of_path, dirac, laplacian
 from pathdirac import rational as qa
 from pathdirac.chain import (
+    ChainComplex,
+    DegreeData,
     build_complex,
     build_digraph_complex,
     build_hypergraph_complex,
@@ -93,6 +95,35 @@ def test_boundary_composes_to_zero_on_corpus(digraph_complexes):
     for _, c in digraph_complexes[:50]:
         for k in range(2, c.p_top + 1):
             assert (c.degrees[k - 1].boundary @ c.degrees[k].boundary).is_zero()
+
+
+def test_chain_complex_rejects_nonzero_composition():
+    # one vertex, one edge, one 2-chain, each boundary the 1x1 identity: ∂1 ∂2 = 1
+    def degree(rows):
+        return DegreeData([], QMatrix.identity(1), QMatrix.identity(1) if rows else QMatrix(0, 1),
+                          np.zeros((rows, 1)), np.eye(1), np.zeros((rows, 1)))
+
+    with pytest.raises(StructuralError, match="boundary composition at degree 2 is nonzero"):
+        ChainComplex([degree(0), degree(1), degree(1)])
+
+
+def test_each_boundary_is_ranked_once(digraph_corpus, monkeypatch):
+    calls = []
+    real_rank = qa.rank
+
+    def counting_rank(m):
+        calls.append(m)
+        return real_rank(m)
+
+    monkeypatch.setattr(qa, "rank", counting_rank)
+    for g in digraph_corpus[:20]:
+        calls.clear()
+        c = build_digraph_complex(g, 2)  # fresh: the shared corpus fixtures hold stored ranks
+        first = c.betti_vector()
+        assert c.betti_vector() == first
+        dirac(c, c.p_top - 1)
+        laplacian(c, c.p_top - 1)
+        assert len(calls) == c.p_top, g
 
 
 def test_degree_zero_dimension_is_vertex_count(digraph_complexes):

@@ -264,6 +264,10 @@ def test_check_filtration_growing_vertex_set(tmp_path, capsys, kind, stages, det
         ["persist", "{manifest}", "--jobs", "-3"],
         ["molecule", "{xyz}", "--thresholds", "1", "--jobs", "0"],
         ["molecule", "{xyz}", "--thresholds", "1", "--p", "-1"],
+        ["complex", "{graph}", "--cap", "-1"],
+        ["dirac", "{graph}", "--max-dense", "-1"],
+        ["persist", "{manifest}", "--cap", "-1"],
+        ["check", "{graph}", "--max-dense", "-1"],
     ],
 )
 def test_negative_degree_and_jobs_are_usage_errors(tmp_path, capsys, argv):

@@ -111,6 +111,8 @@ def test_manifest_weighted_form_errors(tmp_path):
         parse_manifest("# vertices: 0 1\n# thresholds: 0 1 inf\n0 1 1\n", tmp_path, "m.txt")
     with pytest.raises(ParseError, match="^m.txt:2: "):
         parse_manifest("# thresholds: 0 1\n0 1 -inf\n", tmp_path, "m.txt")
+    with pytest.raises(ParseError, match="^m.txt:1: thresholds must be strictly increasing"):
+        parse_manifest("# thresholds: 0 0\n0 1 1\n", tmp_path, "m.txt")
 
 
 def test_manifest_broken_nesting_is_structural(tmp_path):

@@ -20,11 +20,11 @@ from pathdirac import (
     persistent_betti,
     persistent_dirac,
     persistent_laplacian,
+    verify_dirac_square,
 )
 from pathdirac import rational as qa
 from pathdirac.checks import pair_beta0
 from pathdirac.errors import StructuralError
-from pathdirac.persistence import persistent_nullity_report
 
 CYCLIC = Digraph.of([0, 1, 2], [(0, 1), (1, 2), (2, 0)])
 
@@ -208,19 +208,24 @@ def test_persistent_dirac_equal_pair_spectra(filtration_stage_complexes):
             assert d_pers.exact_nullity == d_ord.exact_nullity
 
 
+def _persistent_nullity(aux) -> int:
+    """Exact D_1 nullity of the auxiliary complex, checked against both numeric routes."""
+    report = verify_dirac_square(aux, 1)
+    assert report.float_nullity == report.exact_nullity
+    assert report.zero_count == report.exact_nullity
+    assert report.exact_nullity == sum(aux.betti(i) for i in range(2)) + aux.down_nullity(2)
+    return report.exact_nullity
+
+
 def test_persistent_nullity_identity_cyclic_equal_pair():
     stages = StageComplexes(Filtration.of([CYCLIC, CYCLIC]), 2)
-    report = persistent_nullity_report(auxiliary_complex(stages, 1, 2), 1)
-    assert report["passed"]
     # both routes computed the identity; no hand value is asserted here
-    assert report["exact_nullity"] == sum(report["betti"]) + report["top_kernel"]
+    _persistent_nullity(auxiliary_complex(stages, 1, 2))
 
 
 def test_persistent_nullity_identity_vertices_only():
     stages = two_stage([], [], [0, 1, 2, 3, 4])
-    report = persistent_nullity_report(auxiliary_complex(stages, 1, 2), 1)
-    assert report["passed"]
-    assert report["exact_nullity"] == 5
+    assert _persistent_nullity(auxiliary_complex(stages, 1, 2)) == 5
 
 
 def test_monotone_nullities_on_corpus(filtration_stage_complexes):
