@@ -31,7 +31,7 @@ from .graphs import (
     symmetric_closure,
     underlying_graph,
 )
-from .operators import dirac, eigen_spectrum, float_rank, laplacian, verify_dirac_square
+from .operators import Laplacian, dirac, eigen_spectrum, float_rank, laplacian, verify_dirac_square
 from .persistence import StageComplexes, auxiliary_complex, persistent_laplacian
 
 
@@ -52,9 +52,9 @@ def check_boundary_square(c: ChainComplex) -> CheckResult:
     return _result("boundary-composition-zero", True, "exact at all degrees")
 
 
-def check_dirac_identities(c: ChainComplex) -> list[CheckResult]:
+def check_dirac_identities(c: ChainComplex, laps: list[Laplacian]) -> list[CheckResult]:
     """Square, spectrum symmetry and nullity identity of D_p, from one report per degree."""
-    reports = [verify_dirac_square(c, p) for p in range(c.p_top)]
+    reports = [verify_dirac_square(c, p, laplacians=laps) for p in range(c.p_top)]
     squares = [_result(f"dirac-square-p{r.degree}", r.passed, r.detail) for r in reports]
     symmetry = [
         _result(f"dirac-spectrum-symmetry-p{r.degree}", r.symmetry_defect <= 1e-8,
@@ -74,14 +74,13 @@ def check_dirac_identities(c: ChainComplex) -> list[CheckResult]:
     return squares + symmetry + nullity
 
 
-def check_exact_vs_float_ranks(c: ChainComplex) -> CheckResult:
+def check_exact_vs_float_ranks(c: ChainComplex, laps: list[Laplacian]) -> CheckResult:
     worst = 0
     for k in range(1, c.p_top + 1):
         exact = c.boundary_rank(k)
         numeric = float_rank(c.degrees[k].boundary_ortho)
         worst = max(worst, abs(exact - numeric))
-    for p in range(c.p_top):
-        lap = laplacian(c, p)
+    for lap in laps:
         exact_eta = lap.exact_nullity
         numeric_eta = lap.matrix.shape[0] - float_rank(lap.matrix)
         worst = max(worst, abs(exact_eta - numeric_eta))
@@ -135,9 +134,10 @@ def graph_check_suite(graph: Digraph | Hypergraph, c: ChainComplex) -> list[Chec
     ambient = deletion_closure_complex(paths)
     submods = [embed_paths(ps, ambient.labels[k]) for k, ps in enumerate(paths)]
     inf = infimum_complex(ambient, submods)
+    laps = [laplacian(c, i) for i in range(c.p_top)]  # shared by the square and rank checks
     results = [check_boundary_square(c)]
-    results.extend(check_dirac_identities(c))
-    results.append(check_exact_vs_float_ranks(c))
+    results.extend(check_dirac_identities(c, laps))
+    results.append(check_exact_vs_float_ranks(c, laps))
     results.append(check_h1_formula(graph, c))
     results.append(check_omega_against_infimum(c, submods, inf))
     results.append(check_degree2_fast_path(graph, c))
@@ -161,17 +161,20 @@ def filtration_check_suite(stages: StageComplexes, p: int = 1) -> list[CheckResu
         for b in range(a, n_stages + 1):
             aux = auxiliary_complex(stages, a, b)
             tag = f"({a},{b})"
-            r = verify_dirac_square(aux, p)
+            d = dirac(aux, p)
+            spec = eigen_spectrum(d.matrix, d.exact_nullity)
+            exact, zeros = d.exact_nullity, spec.zero_count()
+            float_nullity = d.matrix.shape[0] - float_rank(d.matrix)
             results.append(
                 _result(
                     f"persistent-nullity{tag}",
-                    r.zero_count == r.exact_nullity and r.float_nullity == r.exact_nullity,
-                    f"exact {r.exact_nullity}, zeros {r.zero_count}, float {r.float_nullity}",
+                    zeros == exact and float_nullity == exact,
+                    f"exact {exact}, zeros {zeros}, float {float_nullity}",
                 )
             )
             if a == b:
                 d_ord = dirac(stages.stage(b), p)
-                s1 = r.spectrum.values
+                s1 = spec.values
                 s2 = eigen_spectrum(d_ord.matrix, d_ord.exact_nullity).values
                 defect = float(np.max(np.abs(s1 - s2))) if len(s1) else 0.0
                 results.append(

@@ -45,6 +45,9 @@ class Spectrum:
     def positives(self) -> np.ndarray:
         return self.values[self.values > self.zero_threshold]
 
+    def zero_count(self) -> int:
+        return int(np.sum(np.abs(self.values) <= self.zero_threshold))
+
 
 @dataclass
 class FeatureSet:
@@ -210,17 +213,20 @@ class DiracSquareReport:
     detail: str
 
 
-def verify_dirac_square(c: ChainComplex, p: int, tol: float = 1e-10) -> DiracSquareReport:
+def verify_dirac_square(c: ChainComplex, p: int, tol: float = 1e-10,
+                        laplacians: list[Laplacian] | None = None) -> DiracSquareReport:
     """Check D_p^2 against the Laplacian block diagonal and its spectrum's symmetry.
 
-    The square must match blockdiag(L_0, ..., L_p, Down_{p+1}) entrywise. The
-    exact nullity is the Betti-sum form by construction (see `dirac`), so the
-    report carries the float-rank form and the zero count to test it against.
+    The square must match blockdiag(L_0, ..., L_p, Down_{p+1}) entrywise, L_i from
+    `laplacians` if given. The exact nullity is the Betti-sum form by construction (see
+    `dirac`), so the report carries the float-rank form and the zero count to test it against.
     """
+    if laplacians is None:
+        laplacians = [laplacian(c, i) for i in range(p + 1)]
     d = dirac(c, p)
     square = d.matrix @ d.matrix
     offsets = d.block_offsets
-    blocks = [laplacian(c, i).matrix for i in range(p + 1)] + [down_laplacian(c, p + 1).matrix]
+    blocks = [lap.matrix for lap in laplacians[: p + 1]] + [down_laplacian(c, p + 1).matrix]
     expect = np.zeros_like(square)
     for k, blk in enumerate(blocks):
         r0, r1 = offsets[k], offsets[k + 1]
@@ -233,7 +239,7 @@ def verify_dirac_square(c: ChainComplex, p: int, tol: float = 1e-10) -> DiracSqu
     # both sides of the printed identity are the exact nullity
     detail = f"square defect {off_defect:.3e}, nullity {nullity} vs {nullity}, spectrum symmetry {sym:.3e}"
     float_nullity = d.matrix.shape[0] - float_rank(d.matrix)
-    zeros = int(np.sum(np.abs(spec.values) <= spec.zero_threshold))
+    zeros = spec.zero_count()
     return DiracSquareReport(p, passed, off_defect, nullity, sym, float_nullity, zeros, spec, detail)
 
 

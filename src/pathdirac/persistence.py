@@ -115,6 +115,12 @@ class AuxiliaryComplex(ChainComplex):
         self.a_in_b = a_in_b  # stage-a basis expressed in the stage-b basis, per degree
         self.c_bases = c_bases  # auxiliary space bases in the stage-b basis
 
+    def boundary_rank(self, k: int) -> int:
+        """dim C_k - dim ker ∂_k(b): every stage-b cycle lies in C_k, so they share a kernel."""
+        if not 1 <= k <= self.p_top:
+            return 0
+        return self.dim(k) - self.stage_b.down_nullity(k)
+
 
 def auxiliary_complex(stages: StageComplexes, a: int, b: int) -> AuxiliaryComplex:
     """Build the auxiliary complex for the stage pair a <= b to the built degree."""
@@ -131,8 +137,14 @@ def auxiliary_complex(stages: StageComplexes, a: int, b: int) -> AuxiliaryComple
     c_bases: list[QMatrix] = [QMatrix.identity(cb.dim(0))]
     degrees: list[DegreeData] = [cb.degrees[0]]
     for k in range(1, p_top + 1):
-        c_bases.append(qa.preimage_basis(cb.degrees[k].boundary, a_in_b[k - 1]))
-        d_k = cb.degrees[k]
+        # ∂x of x in Ω_k(b) is a cycle, so it lies in Ω_{k-1}(a) exactly when it
+        # vanishes on the (k-1)-paths of b that are not paths of a.
+        d_k, kept = cb.degrees[k], set(ca.degrees[k - 1].paths)
+        path_boundary = cb.degrees[k - 1].omega @ d_k.boundary
+        leave = [i for i, path in enumerate(cb.degrees[k - 1].paths) if path not in kept]
+        rows = QMatrix(len(leave), path_boundary.cols)
+        rows.data = [path_boundary.data[i] for i in leave]
+        c_bases.append(qa.preimage_basis(rows, QMatrix(len(leave), 0)))
         boundary = qa.solve(c_bases[k - 1], d_k.boundary @ c_bases[k])
         degrees.append(degree_data(d_k.paths, d_k.omega @ c_bases[k], boundary,
                                    d_k.allowed_block, degrees[k - 1]))
@@ -143,11 +155,8 @@ def auxiliary_complex(stages: StageComplexes, a: int, b: int) -> AuxiliaryComple
 
 
 def _verify_sandwich(aux: AuxiliaryComplex) -> None:
-    """Stage-a space inside the auxiliary space per degree.
-
-    The auxiliary bases are echelon bases of full column rank, so one solve
-    decides containment.
-    """
+    """Stage-a space inside the auxiliary space per degree: one solve each, since the
+    auxiliary bases are echelon bases of full column rank."""
     for k in range(aux.p_top + 1):
         try:
             qa.solve(aux.c_bases[k], aux.a_in_b[k])

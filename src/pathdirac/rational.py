@@ -78,18 +78,16 @@ class QMatrix:
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         out = QMatrix(self.rows, other.cols)
-        odata = other.data
+        # the nonzeros of each row of other, found once instead of once per row of self
+        nonzeros = [[(j, t) for j, t in enumerate(trow) if t] for trow in other.data]
         for i in range(self.rows):
             srow = self.data[i]
             orow = out.data[i]
             for k in range(self.cols):
                 s = srow[k]
                 if s:
-                    trow = odata[k]
-                    for j in range(other.cols):
-                        t = trow[j]
-                        if t:
-                            orow[j] += s * t
+                    for j, t in nonzeros[k]:
+                        orow[j] += s * t
         return out
 
     def is_zero(self) -> bool:
@@ -184,9 +182,23 @@ def kernel_basis(m: QMatrix) -> QMatrix:
 
 
 def solve(a: QMatrix, b: QMatrix) -> QMatrix:
-    """Solve A X = B exactly for full-column-rank A; raises if inconsistent."""
+    """Solve A X = B exactly for full-column-rank A; raises if inconsistent.
+
+    If A has a unit row e_j for every column j, as kernel and column-space bases
+    do, X is those rows of B, checked by one exact product; else Gauss-Jordan."""
     if a.rows != b.rows:
         raise ValueError("row count mismatch in solve")
+    units: dict[int, int] = {}  # column j -> first row equal to e_j
+    for i, row in enumerate(a.data):
+        nonzero = [j for j, x in enumerate(row) if x]
+        if len(nonzero) == 1 and row[nonzero[0]] == ONE:
+            units.setdefault(nonzero[0], i)
+    if len(units) == a.cols:
+        x = QMatrix(a.cols, b.cols)
+        x.data = [b.data[units[j]][:] for j in range(a.cols)]
+        if a @ x != b:
+            raise StructuralError("linear system is inconsistent: target not in column span")
+        return x
     aug, pivots = rref(hstack(a, b))
     if len(pivots) and pivots[-1] >= a.cols:
         raise StructuralError("linear system is inconsistent: target not in column span")

@@ -10,10 +10,12 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from pathdirac import Digraph, Filtration, Hypergraph, StageComplexes, build_digraph_complex
-from pathdirac import operators
+from pathdirac import checks, operators
 from pathdirac.chain import build_hypergraph_complex
+from pathdirac.molecules import bond_digraph, distance_filtration, load_molecule
 
 CORPUS_SIZE = 200
+MOLECULE = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "molecule.xyz"
 
 
 def random_digraph(rng: random.Random, max_vertices: int = 6, p_edge: float = 0.3) -> Digraph:
@@ -41,6 +43,23 @@ def random_filtration(rng: random.Random, max_vertices: int = 5, max_stages: int
     cuts = sorted(rng.randint(0, total) for _ in range(n_stages - 1)) + [total]
     stages = [Digraph.of(range(n), chosen[:c]) for c in cuts]
     return Filtration.of(stages)
+
+
+def molecule_filtration(stages: int = 7) -> Filtration:
+    """The committed 24-atom cage, its bonds admitted in `stages` equal shares.
+
+    Each threshold falls midway between consecutive sorted bond lengths.
+    """
+    mol = load_molecule(MOLECULE)
+    lengths = sorted(mol.distance(i, j) for i, j in mol.bonds)
+    cuts = [(lengths[r - 1] + lengths[r]) / 2
+            for r in (round(s * len(lengths) / stages) for s in range(1, stages))]
+    return distance_filtration(bond_digraph(mol), cuts + [lengths[-1] + 0.1])
+
+
+@pytest.fixture(scope="session")
+def molecule_stage_complexes():
+    return StageComplexes(molecule_filtration(), 2)
 
 
 @pytest.fixture(scope="session")
@@ -89,3 +108,4 @@ def shifted_laplacian(monkeypatch):
         return dataclasses.replace(lap, matrix=matrix)
 
     monkeypatch.setattr(operators, "laplacian", shifted)
+    monkeypatch.setattr(checks, "laplacian", shifted)

@@ -1,10 +1,13 @@
 """Independent oracles for the test suite.
 
-Nothing here reuses the package's linear algebra or invariant-subspace
-construction: enumeration is brute force over vertex tuples, ranks come
-from sympy, and Betti numbers use the embedded-homology quotient formula
-over unrestricted boundary matrices. These stay deliberately slow and
-simple so they can sit in judgment over the fast implementations.
+Nothing here reuses the package's invariant-subspace construction:
+enumeration is brute force over vertex tuples, ranks come from sympy, and
+Betti numbers use the embedded-homology quotient formula over unrestricted
+boundary matrices. The one exception is `oracle_auxiliary_route`, which
+builds the auxiliary complex along a second route on the package's
+Gauss-Jordan elimination (`rational.rref`), never through `rational.solve`.
+These stay deliberately slow and simple so they can sit in judgment over
+the fast implementations.
 """
 
 from __future__ import annotations
@@ -13,7 +16,10 @@ import itertools
 
 import sympy
 
+from pathdirac import rational as qa
+from pathdirac.chain import embed_paths
 from pathdirac.graphs import Digraph, Hypergraph
+from pathdirac.rational import QMatrix
 
 
 def brute_anchor_paths_digraph(g: Digraph, p: int) -> list[tuple[int, ...]]:
@@ -188,3 +194,34 @@ def oracle_persistent_betti(ga: Digraph, gb: Digraph, n: int) -> int:
     rank_b = boundaries.rank() if boundaries.cols else 0
     stacked = cycles.row_join(boundaries) if boundaries.cols else cycles
     return stacked.rank() - rank_b
+
+
+def _gauss_jordan_solve(a: QMatrix, b: QMatrix) -> QMatrix:
+    """The unique X with A X = B, read off the reduced echelon form of [A | B]."""
+    aug, pivots = qa.rref(qa.hstack(a, b))
+    assert pivots == list(range(a.cols)), "system is inconsistent or A is rank-deficient"
+    x = QMatrix(a.cols, b.cols)
+    x.data = [row[a.cols :] for row in aug.data[: a.cols]]
+    return x
+
+
+def oracle_auxiliary_route(stages, a: int, b: int) -> tuple[list[QMatrix], list[QMatrix]]:
+    """Bases (stage-b coordinates) and exact boundaries of the auxiliary complex.
+
+    The preimage route: stage a's invariant basis re-expressed in stage b's,
+    C_k as the preimage of that degree-(k-1) span under stage b's boundary,
+    and each boundary re-expressed in the C_{k-1} basis, both solves by
+    Gauss-Jordan on the augmented matrix.
+    """
+    ca, cb = stages.stage(a), stages.stage(b)
+    a_in_b = []
+    for k in range(stages.p_top + 1):
+        embed = embed_paths(ca.degrees[k].paths, cb.degrees[k].paths)
+        a_in_b.append(_gauss_jordan_solve(cb.degrees[k].omega, embed @ ca.degrees[k].omega))
+    bases = [QMatrix.identity(cb.dim(0))]
+    boundaries = [QMatrix(0, cb.dim(0))]
+    for k in range(1, stages.p_top + 1):
+        bases.append(qa.preimage_basis(cb.degrees[k].boundary, a_in_b[k - 1]))
+        image = cb.degrees[k].boundary @ bases[k]
+        boundaries.append(_gauss_jordan_solve(bases[k - 1], image))
+    return bases, boundaries

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from oracles import oracle_persistent_betti, sympy_rank
+from oracles import oracle_auxiliary_route, oracle_persistent_betti, sympy_rank
 from pathdirac import (
     ChainComplex,
     Digraph,
@@ -127,6 +127,37 @@ def growing_filtration(rng: random.Random, hyper: bool) -> Filtration:
     return Filtration.of(
         [make(range(s), [e for e in candidates if birth[e] <= i]) for i, s in enumerate(sizes)]
     )
+
+
+def assert_matches_preimage_route(stages: StageComplexes) -> int:
+    """Every pair's bases and exact boundaries equal the preimage route's, and each
+    closed-form boundary rank equals the sympy rank of that route's boundary."""
+    n = len(stages)
+    for a in range(1, n + 1):
+        for b in range(a, n + 1):
+            aux = auxiliary_complex(stages, a, b)
+            bases, boundaries = oracle_auxiliary_route(stages, a, b)
+            assert aux.c_bases == bases
+            assert aux.boundaries == boundaries
+            for k in range(1, aux.p_top + 1):
+                assert aux.boundary_rank(k) == sympy_rank(boundaries[k])
+    return n * (n + 1) // 2
+
+
+def test_auxiliary_complex_matches_preimage_route_on_corpus(filtration_stage_complexes):
+    assert sum(map(assert_matches_preimage_route, filtration_stage_complexes)) >= 600
+
+
+@pytest.mark.parametrize("hyper", [False, True], ids=["digraph", "hypergraph"])
+def test_auxiliary_complex_matches_preimage_route_growing(hyper):
+    rng = random.Random(5005 + hyper)
+    pairs = sum(assert_matches_preimage_route(StageComplexes(growing_filtration(rng, hyper), 2))
+                for _ in range(60))
+    assert pairs >= 180
+
+
+def test_auxiliary_complex_matches_preimage_route_on_molecule(molecule_stage_complexes):
+    assert assert_matches_preimage_route(molecule_stage_complexes) == 28
 
 
 def closed_form_beta0(g_a, g_b) -> int:
@@ -318,6 +349,43 @@ def test_feature_grid_jobs_deterministic():
     g1 = feature_grid(stages, 1, jobs=1)
     g2 = feature_grid(stages, 1, jobs=4)
     assert g1.rows() == g2.rows()
+
+
+def test_feature_grid_ranks_only_stage_boundaries(monkeypatch):
+    """Each stage boundary is ranked once, no auxiliary boundary is ranked, and
+    every solve (stage, a_in_b, auxiliary, containment) selects unit rows."""
+    rng = random.Random(7007)
+    edges = [(u, v) for u in range(7) for v in range(7) if u != v and rng.random() < 0.35]
+    rng.shuffle(edges)
+    f = Filtration.of([Digraph.of(range(7), edges[: round(i * len(edges) / 7)])
+                       for i in range(1, 8)])
+    calls = {"rank": 0, "rref": 0, "rref_in_solve": 0}
+    in_solve = [False]
+    real_rank, real_rref, real_solve = qa.rank, qa.rref, qa.solve
+
+    def rank(m):
+        calls["rank"] += 1
+        return real_rank(m)
+
+    def rref(m):
+        calls["rref"] += 1
+        calls["rref_in_solve"] += in_solve[0]
+        return real_rref(m)
+
+    def solve(a, b):
+        in_solve[0] = True
+        try:
+            return real_solve(a, b)
+        finally:
+            in_solve[0] = False
+
+    monkeypatch.setattr(qa, "rank", rank)
+    monkeypatch.setattr(qa, "rref", rref)
+    monkeypatch.setattr(qa, "solve", solve)
+    grid = feature_grid(f, 1)
+    assert len(grid.cells) == 28
+    assert calls["rank"] == 7 * 2
+    assert calls["rref"] > 0 and calls["rref_in_solve"] == 0
 
 
 def test_feature_grid_rejects_unknown_feature():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
 from oracles import sympy_rank
 from pathdirac import rational as qa
@@ -72,6 +73,82 @@ def test_solve_rejects_inconsistent_system():
     b = QMatrix.from_rows([[0], [1]])
     with pytest.raises(StructuralError):
         qa.solve(a, b)
+
+
+def hidden_identity(rng, cols, unit_rows=True):
+    """Full-column-rank rows over `cols` columns, shuffled: decoys 2*e_k, e_k + e_j and
+    random rows, plus (if unit_rows) every e_k once and one e_k a second time."""
+    def unit(k, scale=1):
+        return [Fraction(scale if j == k else 0) for j in range(cols)]
+
+    rows = [unit(k, 2) for k in range(cols)]
+    rows += [[Fraction(int(j in (k, (k + 1) % cols))) for j in range(cols)] for k in range(cols)]
+    rows += [[Fraction(rng.randint(-2, 2)) for _ in range(cols)] for _ in range(2)]
+    if unit_rows:
+        rows += [unit(k) for k in range(cols)] + [unit(rng.randrange(cols))]
+    rng.shuffle(rows)
+    return QMatrix.from_rows(rows)
+
+
+def sympy_solve(a: QMatrix, b: QMatrix) -> QMatrix:
+    def to_sympy(m):
+        return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                             for row in m.data])
+
+    sol, params = to_sympy(a).gauss_jordan_solve(to_sympy(b))
+    assert params.shape[0] == 0
+    return QMatrix.from_rows([[Fraction(int(x.p), int(x.q)) for x in row]
+                              for row in sol.tolist()])
+
+
+def count_rref(monkeypatch) -> list[int]:
+    calls = [0]
+    real = qa.rref
+
+    def counted(m):
+        calls[0] += 1
+        return real(m)
+
+    monkeypatch.setattr(qa, "rref", counted)
+    return calls
+
+
+@pytest.mark.parametrize("unit_rows", [True, False], ids=["unit-rows", "decoys-only"])
+def test_solve_matches_sympy_on_hidden_identities(monkeypatch, unit_rows):
+    """Unit rows take the row-selection shortcut; decoys alone go through Gauss-Jordan."""
+    rng = random.Random(23 + unit_rows)
+    calls = count_rref(monkeypatch)
+    for _ in range(30):
+        cols = rng.randint(2, 5)
+        a = hidden_identity(rng, cols, unit_rows)
+        x = random_qmatrix(rng, cols, rng.randint(1, 3), entries=(-3, -1, 0, Fraction(1, 2), 2))
+        b = a @ x
+        assert qa.solve(a, b) == x == sympy_solve(a, b)
+    assert (calls[0] == 0) == unit_rows
+
+
+@pytest.mark.parametrize("unit_rows", [True, False], ids=["unit-rows", "decoys-only"])
+def test_solve_inconsistent_message_is_path_independent(unit_rows):
+    rng = random.Random(31 + unit_rows)
+    raised = 0
+    for _ in range(20):
+        a = hidden_identity(rng, rng.randint(2, 5), unit_rows)
+        b = QMatrix.from_rows([[Fraction(rng.randint(-2, 2))] for _ in range(a.rows)])
+        if sympy_rank(qa.hstack(a, b)) == a.cols:
+            continue
+        with pytest.raises(StructuralError) as info:
+            qa.solve(a, b)
+        assert str(info.value) == "linear system is inconsistent: target not in column span"
+        raised += 1
+    assert raised >= 15
+
+
+def test_solve_rank_deficient_coefficients_still_rejected():
+    rng = random.Random(37)
+    a = hidden_identity(rng, 3)
+    deficient = qa.hstack(a, QMatrix.from_rows([[row[0] + row[1]] for row in a.data]))
+    with pytest.raises(StructuralError, match="full-column-rank"):
+        qa.solve(deficient, deficient @ random_qmatrix(rng, 4, 2))
 
 
 def test_preimage_full_codomain_is_full_domain():
