@@ -32,6 +32,7 @@ from .molecules import bond_digraph, distance_filtration, load_molecule
 from .operators import (
     DEFAULT_DENSE_LIMIT,
     DEFAULT_ZERO_TOL,
+    FeatureSet,
     dirac,
     down_laplacian,
     eigen_spectrum,
@@ -93,7 +94,9 @@ def build_parser() -> CliParser:
     common(p_dirac, "Dirac operator degree")
 
     def grid(p):
-        p.add_argument("--features", nargs="+", default=list(DEFAULT_FEATURES))
+        p.add_argument("--features", nargs="+", default=list(DEFAULT_FEATURES),
+                       choices=FeatureSet.FIELDS, metavar="FEATURE",
+                       help=f"from {', '.join(FeatureSet.FIELDS)}")
         p.add_argument("--jobs", type=_int_at_least(1), default=1)
         p.add_argument("--annotate", action="store_true", help="write values into heatmap cells")
         common(p)
@@ -257,9 +260,6 @@ def main(argv=None) -> int:
     except PathDiracError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     finally:
         elapsed = time.monotonic() - started
         print(f"[{args.command}] {elapsed:.3f}s", file=sys.stderr)

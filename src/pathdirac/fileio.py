@@ -156,7 +156,12 @@ def parse_manifest(text: str, base_dir, path: str | None = None) -> Filtration:
     stages = []
     for lineno, line in _data_lines(text):
         stage_path = base_dir / line
-        if not stage_path.exists():
+        try:
+            found = stage_path.exists()
+        except OSError as exc:  # e.g. a name too long to stat
+            raise ParseError(f"cannot look up stage file: {exc.strerror or exc}",
+                             path, lineno) from None
+        if not found:
             raise ParseError(f"stage file not found: {line}", path, lineno)
         stages.append(load_graph(stage_path, kind))
     if not stages:

@@ -182,10 +182,10 @@ def kernel_basis(m: QMatrix) -> QMatrix:
 
 
 def solve(a: QMatrix, b: QMatrix) -> QMatrix:
-    """Solve A X = B exactly for full-column-rank A; raises if inconsistent.
+    """Solve A X = B exactly for an echelon basis A; raises if inconsistent.
 
-    If A has a unit row e_j for every column j, as kernel and column-space bases
-    do, X is those rows of B, checked by one exact product; else Gauss-Jordan."""
+    A must have a unit row e_j for every column j, as kernel and column-space
+    bases do; X is then those rows of B, checked by one exact product."""
     if a.rows != b.rows:
         raise ValueError("row count mismatch in solve")
     units: dict[int, int] = {}  # column j -> first row equal to e_j
@@ -193,20 +193,12 @@ def solve(a: QMatrix, b: QMatrix) -> QMatrix:
         nonzero = [j for j, x in enumerate(row) if x]
         if len(nonzero) == 1 and row[nonzero[0]] == ONE:
             units.setdefault(nonzero[0], i)
-    if len(units) == a.cols:
-        x = QMatrix(a.cols, b.cols)
-        x.data = [b.data[units[j]][:] for j in range(a.cols)]
-        if a @ x != b:
-            raise StructuralError("linear system is inconsistent: target not in column span")
-        return x
-    aug, pivots = rref(hstack(a, b))
-    if len(pivots) and pivots[-1] >= a.cols:
-        raise StructuralError("linear system is inconsistent: target not in column span")
-    if len(pivots) != a.cols:
-        raise StructuralError("solve requires a full-column-rank coefficient matrix")
+    if len(units) != a.cols:
+        raise ValueError("solve needs a coefficient matrix with a unit row for every column")
     x = QMatrix(a.cols, b.cols)
-    for i in range(a.cols):
-        x.data[i] = aug.data[i][a.cols:]
+    x.data = [b.data[units[j]][:] for j in range(a.cols)]
+    if a @ x != b:
+        raise StructuralError("linear system is inconsistent: target not in column span")
     return x
 
 

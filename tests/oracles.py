@@ -205,19 +205,26 @@ def _gauss_jordan_solve(a: QMatrix, b: QMatrix) -> QMatrix:
     return x
 
 
-def oracle_auxiliary_route(stages, a: int, b: int) -> tuple[list[QMatrix], list[QMatrix]]:
-    """Bases (stage-b coordinates) and exact boundaries of the auxiliary complex.
-
-    The preimage route: stage a's invariant basis re-expressed in stage b's,
-    C_k as the preimage of that degree-(k-1) span under stage b's boundary,
-    and each boundary re-expressed in the C_{k-1} basis, both solves by
-    Gauss-Jordan on the augmented matrix.
-    """
+def oracle_a_in_b(stages, a: int, b: int) -> list[QMatrix]:
+    """Stage a's invariant basis re-expressed in stage b's, per degree, by
+    Gauss-Jordan on the augmented matrix."""
     ca, cb = stages.stage(a), stages.stage(b)
     a_in_b = []
     for k in range(stages.p_top + 1):
         embed = embed_paths(ca.degrees[k].paths, cb.degrees[k].paths)
         a_in_b.append(_gauss_jordan_solve(cb.degrees[k].omega, embed @ ca.degrees[k].omega))
+    return a_in_b
+
+
+def oracle_auxiliary_route(stages, a: int, b: int) -> tuple[list[QMatrix], list[QMatrix]]:
+    """Bases (stage-b coordinates) and exact boundaries of the auxiliary complex.
+
+    The preimage route: C_k as the preimage, under stage b's boundary, of stage
+    a's degree-(k-1) space in stage-b coordinates (`oracle_a_in_b`), and each
+    boundary re-expressed in the C_{k-1} basis by Gauss-Jordan.
+    """
+    cb = stages.stage(b)
+    a_in_b = oracle_a_in_b(stages, a, b)
     bases = [QMatrix.identity(cb.dim(0))]
     boundaries = [QMatrix(0, cb.dim(0))]
     for k in range(1, stages.p_top + 1):

@@ -163,7 +163,9 @@ def test_unknown_feature_is_usage_error(tmp_path):
     (tmp_path / "s1.txt").write_text("# vertices: 0 1\n", encoding="utf-8")
     manifest = tmp_path / "filt.txt"
     manifest.write_text("s1.txt\n", encoding="utf-8")
-    assert main(["persist", str(manifest), "--features", "volume", "--out", str(tmp_path)]) == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["persist", str(manifest), "--features", "volume", "--out", str(tmp_path)])
+    assert exc.value.code == 1
 
 
 def test_complex_hypergraph_kind(tmp_path):
@@ -298,3 +300,12 @@ def test_unreadable_input_is_parse_error(tmp_path, capsys, argv):
     paths = {"missing": tmp_path / "missing.txt", "binary": tmp_path / "binary.txt"}
     assert main([arg.format(**paths) for arg in argv] + ["--out", str(tmp_path)]) == 2
     assert str(paths[argv[1][1:-1]]) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["persist"], ["check", "--kind", "filtration"]],
+                         ids=["persist", "check-filtration"])
+def test_overlong_stage_name_is_parse_error(tmp_path, capsys, argv):
+    manifest = tmp_path / "m.txt"
+    manifest.write_text("a" * 300 + "\n", encoding="utf-8")
+    assert main([argv[0], str(manifest), *argv[1:], "--out", str(tmp_path)]) == 2
+    assert f"error: {manifest}:1: cannot look up stage file" in capsys.readouterr().err

@@ -70,6 +70,20 @@ def test_manifest_missing_stage_file(tmp_path):
         load_manifest(manifest)
 
 
+def test_manifest_stage_name_too_long_to_stat(tmp_path):
+    """A name the OS refuses to look up (ENAMETOOLONG) is a ParseError naming the
+    manifest line; a merely missing file keeps its not-found message."""
+    manifest = tmp_path / "stages.txt"
+    manifest.write_text("# kind: digraph\n" + "a" * 300 + "\nnope.txt\n", encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_manifest(manifest)
+    assert str(err.value) == f"{manifest}:2: cannot look up stage file: File name too long"
+    manifest.write_text("nope.txt\n" + "a" * 300 + "\n", encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_manifest(manifest)
+    assert str(err.value) == f"{manifest}:1: stage file not found: nope.txt"
+
+
 @pytest.mark.parametrize(
     "load",
     [lambda path: load_graph(path, "digraph"), load_manifest, load_molecule],

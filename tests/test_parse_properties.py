@@ -3,14 +3,18 @@
 Generated token soup (directives, numbers, non-finite floats, element
 symbols, stray text) is fed to each parser; any exception other than
 ParseError would reach the CLI as a misleading exit code or a traceback.
+Stage-list manifests are generated from real, missing, over-long and
+directory names, so a nesting violation may also end as a StructuralError.
 Derandomized, so every run checks the same examples.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathdirac import Digraph
-from pathdirac.errors import ParseError
+from pathdirac.cli import main
+from pathdirac.errors import ParseError, StructuralError
 from pathdirac.fileio import parse_digraph, parse_hypergraph, parse_manifest
 from pathdirac.molecules import parse_xyz
 
@@ -75,3 +79,37 @@ def test_digraph_text_round_trip(g):
     lines = ["# vertices: " + " ".join(map(str, g.vertices))]
     lines += [f"{u} {v}" for u, v in g.edges]
     assert parse_digraph("\n".join(lines) + "\n") == g
+
+
+STAGE_FILES = {
+    "s1.txt": "# vertices: 0 1 2\n",
+    "s2.txt": "# vertices: 0 1 2\n0 1\n",
+    "s3.txt": "0 1\n1 2\n2 0\n",
+    "triple.txt": "0 1 2\n",  # a hyperedge, but not a digraph edge
+    "junk.txt": "x y\n",
+}
+MANIFEST_LINES = [*STAGE_FILES, "missing.txt", "a" * 300, "sub/" + "b" * 300, "stages",
+                  "# kind: digraph", "# kind: hypergraph", "# kind: simplicial", "# note", ""]
+
+
+@pytest.fixture(scope="module")
+def stage_dir(tmp_path_factory):
+    base = tmp_path_factory.mktemp("stage-list")
+    for name, text in STAGE_FILES.items():
+        (base / name).write_text(text, encoding="utf-8")
+    (base / "stages").mkdir()
+    return base
+
+
+@SETTINGS
+@given(st.lists(st.sampled_from(MANIFEST_LINES), max_size=6).map("\n".join))
+def test_stage_list_manifest_fails_only_as_documented(stage_dir, text):
+    """parse_manifest raises only ParseError or StructuralError, and the filtration
+    check ends with exit 0, 2 or 4, never with a traceback."""
+    try:
+        parse_manifest(text, stage_dir, "m.txt")
+    except (ParseError, StructuralError):
+        pass
+    manifest = stage_dir / "m.txt"
+    manifest.write_text(text, encoding="utf-8")
+    assert main(["check", str(manifest), "--kind", "filtration"]) in (0, 2, 4)

@@ -5,7 +5,13 @@ import random
 import numpy as np
 import pytest
 
-from oracles import oracle_auxiliary_route, oracle_persistent_betti, sympy_rank
+from oracles import (
+    _gauss_jordan_solve,
+    oracle_a_in_b,
+    oracle_auxiliary_route,
+    oracle_persistent_betti,
+    sympy_rank,
+)
 from pathdirac import (
     ChainComplex,
     Digraph,
@@ -91,8 +97,9 @@ def test_sandwich_containment_on_corpus(filtration_stage_complexes):
         for a in range(1, n + 1):
             for b in range(a, n + 1):
                 aux = auxiliary_complex(stages, a, b)
+                a_in_b = oracle_a_in_b(stages, a, b)
                 for k in range(aux.p_top + 1):
-                    assert qa.is_subspace(aux.a_in_b[k], aux.c_bases[k])
+                    assert qa.is_subspace(a_in_b[k], aux.c_bases[k])
 
 
 def test_auxiliary_boundary_lands_in_stage_a(filtration_stage_complexes):
@@ -105,8 +112,10 @@ def test_auxiliary_boundary_lands_in_stage_a(filtration_stage_complexes):
                 aux = auxiliary_complex(stages, a, b)
                 assert isinstance(aux, ChainComplex)
                 cb = stages.stage(b)
+                a_in_b = oracle_a_in_b(stages, a, b)
                 for k in range(1, aux.p_top + 1):
-                    into_a = qa.solve(aux.a_in_b[k - 1], cb.degrees[k].boundary @ aux.c_bases[k])
+                    into_a = _gauss_jordan_solve(a_in_b[k - 1],
+                                                 cb.degrees[k].boundary @ aux.c_bases[k])
                     assert sympy_rank(into_a) == aux.boundary_rank(k)
 
 
@@ -130,8 +139,9 @@ def growing_filtration(rng: random.Random, hyper: bool) -> Filtration:
 
 
 def assert_matches_preimage_route(stages: StageComplexes) -> int:
-    """Every pair's bases and exact boundaries equal the preimage route's, and each
-    closed-form boundary rank equals the sympy rank of that route's boundary."""
+    """Every pair's bases and exact boundaries equal the preimage route's, each
+    closed-form boundary rank equals the sympy rank of that route's boundary, and
+    stage a's space lies in the auxiliary space at every degree."""
     n = len(stages)
     for a in range(1, n + 1):
         for b in range(a, n + 1):
@@ -141,6 +151,8 @@ def assert_matches_preimage_route(stages: StageComplexes) -> int:
             assert aux.boundaries == boundaries
             for k in range(1, aux.p_top + 1):
                 assert aux.boundary_rank(k) == sympy_rank(boundaries[k])
+            for k, stage_a in enumerate(oracle_a_in_b(stages, a, b)):
+                assert qa.is_subspace(stage_a, aux.c_bases[k])
     return n * (n + 1) // 2
 
 
@@ -353,7 +365,7 @@ def test_feature_grid_jobs_deterministic():
 
 def test_feature_grid_ranks_only_stage_boundaries(monkeypatch):
     """Each stage boundary is ranked once, no auxiliary boundary is ranked, and
-    every solve (stage, a_in_b, auxiliary, containment) selects unit rows."""
+    no solve (stage or auxiliary boundary) runs Gauss-Jordan."""
     rng = random.Random(7007)
     edges = [(u, v) for u in range(7) for v in range(7) if u != v and rng.random() < 0.35]
     rng.shuffle(edges)
