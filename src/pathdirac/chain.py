@@ -64,9 +64,9 @@ def split_boundary(
     for j, col in enumerate(cols):
         for sub, coeff in col.items():
             if sub in index:
-                allowed.data[index[sub]][j] = qa.Fraction(coeff)
+                allowed.data[index[sub]][j] = coeff
             else:
-                disallowed.data[extra_index[sub]][j] = qa.Fraction(coeff)
+                disallowed.data[extra_index[sub]][j] = coeff
     return allowed, disallowed, extra
 
 
@@ -241,7 +241,7 @@ def omega2_generators_fast(g: Digraph, paths2: list[Path]) -> QMatrix:
     out = QMatrix(len(paths2), len(cols))
     for k, col in enumerate(cols):
         for j, coeff in col.items():
-            out.data[j][k] = qa.Fraction(coeff)
+            out.data[j][k] = coeff
     return out
 
 
@@ -276,7 +276,7 @@ def deletion_closure_complex(paths_per_degree: list[list[Path]]) -> AmbientCompl
         b = QMatrix(len(sorted_labels[k - 1]), len(sorted_labels[k]))
         for j, path in enumerate(sorted_labels[k]):
             for sub, coeff in boundary_of_path(path).items():
-                b.data[rows[sub]][j] = qa.Fraction(coeff)
+                b.data[rows[sub]][j] = coeff
         boundaries.append(b)
     return AmbientComplex(sorted_labels, boundaries)
 
@@ -286,7 +286,7 @@ def embed_paths(sub: list[Path], ambient: list[Path]) -> QMatrix:
     index = {p: i for i, p in enumerate(ambient)}
     out = QMatrix(len(ambient), len(sub))
     for j, p in enumerate(sub):
-        out.data[index[p]][j] = qa.ONE
+        out.data[index[p]][j] = 1
     return out
 
 

@@ -65,13 +65,26 @@ def _int_at_least(minimum: int):
     return parse
 
 
+def _out_dir(text: str) -> Path:
+    """argparse type: a directory to write into, or one to create (a usage error otherwise)."""
+    path = Path(text)
+    try:
+        existing = next(p for p in (path, *path.parents) if p.exists())
+    except OSError as exc:  # a name too long for the file system, say
+        raise argparse.ArgumentTypeError(f"{text}: {exc.strerror}") from None
+    if not existing.is_dir():
+        raise argparse.ArgumentTypeError(f"{existing} exists and is not a directory")
+    return path
+
+
 def build_parser() -> CliParser:
     parser = CliParser(prog="pathdirac", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, degree_help=None):
         p.add_argument("--p", type=_int_at_least(0), default=1, help=degree_help)
-        p.add_argument("--out", default=".", help="output directory (default: current)")
+        p.add_argument("--out", type=_out_dir, default=".",
+                       help="output directory (default: current)")
         p.add_argument("--cap", type=_int_at_least(0), default=DEFAULT_PATH_CAP,
                        help="max anchor paths per degree")
         p.add_argument("--max-dense", type=_int_at_least(0), default=DEFAULT_DENSE_LIMIT,
@@ -151,15 +164,15 @@ def cmd_complex(args) -> int:
     }
     if args.dump_matrices:
         payload["boundaries"] = [
-            [[str(x) for x in row] for row in c.degrees[k].boundary.data]
+            [[str(x) for x in row] for row in c.degrees[k].boundary.to_rows()]
             for k in range(1, c.p_top + 1)
         ]
         payload["omega_bases"] = [
-            [[str(x) for x in row] for row in c.degrees[k].omega.data]
+            [[str(x) for x in row] for row in c.degrees[k].omega.to_rows()]
             for k in range(c.p_top + 1)
         ]
     doc = result_document("complex", args.input, payload)
-    out = Path(args.out) / f"{Path(args.input).stem}.complex.json"
+    out = args.out / f"{Path(args.input).stem}.complex.json"
     write_json(out, doc)
     print(f"betti={payload['betti']} dims={payload['dims']} -> {out}")
     return 0
@@ -179,12 +192,12 @@ def cmd_dirac(args) -> int:
     payload = {"kind": args.kind, "p": args.p, "operators": operators}
     doc = result_document("dirac", args.input, payload)
     stem = Path(args.input).stem
-    out = Path(args.out) / f"{stem}.dirac.json"
+    out = args.out / f"{stem}.dirac.json"
     write_json(out, doc)
     if args.dump_matrices:
         for name, op in built.items():
             rows = [[f"{v:.12g}" for v in row] for row in op.matrix]
-            write_csv(Path(args.out) / f"{stem}.{name}.csv",
+            write_csv(args.out / f"{stem}.{name}.csv",
                       [f"c{j}" for j in range(op.matrix.shape[1])], rows)
     print(
         f"dirac p={args.p}: size={d.matrix.shape[0]} nullity={d.exact_nullity} -> {out}"
@@ -198,15 +211,14 @@ def _emit_grid(args, filtration, tol, source, command) -> int:
     grid = feature_grid(stages, args.p, tuple(args.features), jobs=args.jobs, zero_tol=tol,
                         dense_limit=args.max_dense)
     stem = Path(source).stem
-    out_dir = Path(args.out)
     doc = result_document(command, source, grid_payload(grid))
-    json_path = out_dir / f"{stem}.grid.json"
-    csv_path = out_dir / f"{stem}.grid.csv"
+    json_path = args.out / f"{stem}.grid.json"
+    csv_path = args.out / f"{stem}.grid.csv"
     write_json(json_path, doc)
     grid_csv(csv_path, grid)
     for name in grid.feature_names:
         svg = grid_heatmap_svg(grid, name, annotate=args.annotate)
-        atomic_write_text(out_dir / f"{stem}.{name}.svg", svg)
+        atomic_write_text(args.out / f"{stem}.{name}.svg", svg)
     print(f"grid {grid.size}x{grid.size} features={','.join(grid.feature_names)} -> {csv_path}")
     return 0
 

@@ -146,7 +146,11 @@ def eigen_spectrum(matrix: np.ndarray, exact_nullity: int,
     asym = np.max(np.abs(matrix - matrix.T))
     if asym > 1e-10:
         raise NumericalInconsistencyError(f"matrix is not symmetric (defect {asym:.3e})")
-    values = np.sort(np.linalg.eigvalsh((matrix + matrix.T) / 2.0))
+    try:
+        values = np.sort(np.linalg.eigvalsh((matrix + matrix.T) / 2.0))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalInconsistencyError(
+            f"eigvalsh failed on the {n}x{n} operator: {exc}") from None
     if not 0 <= exact_nullity <= n:
         raise NumericalInconsistencyError(f"exact nullity {exact_nullity} outside [0, {n}]")
     scale = max(1.0, float(np.max(np.abs(values))))

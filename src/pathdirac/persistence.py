@@ -134,9 +134,8 @@ def auxiliary_complex(stages: StageComplexes, a: int, b: int) -> AuxiliaryComple
         # vanishes on the (k-1)-paths of b that are not paths of a: C_k is the kernel
         # of the rows of omega_{k-1}(b) at those paths, times ∂_k(b).
         d_k, prev, kept = cb.degrees[k], cb.degrees[k - 1], set(ca.degrees[k - 1].paths)
-        leave = QMatrix(0, prev.omega.cols)
-        leave.data = [row for path, row in zip(prev.paths, prev.omega.data) if path not in kept]
-        leave.rows = len(leave.data)
+        rows = [row for path, row in zip(prev.paths, prev.omega.data) if path not in kept]
+        leave = QMatrix(len(rows), prev.omega.cols, rows)
         c_bases.append(qa.preimage_basis(leave @ d_k.boundary, QMatrix(leave.rows, 0)))
         boundary = qa.solve(c_bases[k - 1], d_k.boundary @ c_bases[k])
         degrees.append(degree_data(d_k.paths, d_k.omega @ c_bases[k], boundary,

@@ -1,8 +1,10 @@
 """Exact linear algebra over the rationals.
 
 Every rank, kernel, and subspace basis downstream is an integer statement,
-so this module never rounds: entries are `fractions.Fraction` throughout.
-Floating point enters only when a basis is handed to the eigensolvers.
+so this module never rounds. Matrices are sparse: each row maps a column to
+a nonzero value, a Python int when the value is integral and a
+`fractions.Fraction` otherwise. Floating point enters only when a basis is
+handed to the eigensolvers.
 """
 
 from __future__ import annotations
@@ -13,46 +15,47 @@ import numpy as np
 
 from .errors import StructuralError
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+
+def _q(x):
+    """x in stored form: an int when integral, so integer matrices never touch Fraction."""
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
 
 
 class QMatrix:
-    """Dense matrix with exact rational entries, stored row-major."""
+    """Sparse matrix with exact rational entries: one {column: value} dict per row.
+
+    Zeros are never stored and integral values are ints; every operation here
+    keeps both invariants, and construction sites write nonzero ints directly.
+    """
 
     __slots__ = ("rows", "cols", "data")
 
-    def __init__(self, rows: int, cols: int, data=None):
+    def __init__(self, rows: int, cols: int, data: list[dict] | None = None):
         self.rows = rows
         self.cols = cols
-        if data is None:
-            self.data = [[ZERO] * cols for _ in range(rows)]
-        else:
-            if len(data) != rows or any(len(r) != cols for r in data):
-                raise ValueError("data shape does not match declared dimensions")
-            self.data = [[Fraction(x) for x in row] for row in data]
+        self.data = [{} for _ in range(rows)] if data is None else data
 
     @classmethod
     def from_rows(cls, rows) -> "QMatrix":
+        """From dense rows of anything `Fraction` accepts."""
         rows = [list(r) for r in rows]
         ncols = len(rows[0]) if rows else 0
-        return cls(len(rows), ncols, rows)
+        if any(len(r) != ncols for r in rows):
+            raise ValueError("data shape does not match declared dimensions")
+        data = [{j: _q(Fraction(x)) for j, x in enumerate(r) if x} for r in rows]
+        return cls(len(rows), ncols, data)
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
-        m = cls(n, n)
-        for i in range(n):
-            m.data[i][i] = ONE
-        return m
+        return cls(n, n, [{i: 1} for i in range(n)])
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "QMatrix":
         return cls(rows, cols)
 
-    def copy(self) -> "QMatrix":
-        out = QMatrix(self.rows, self.cols)
-        out.data = [row[:] for row in self.data]
-        return out
+    def to_rows(self) -> list[list]:
+        """Dense rows, zeros included: the one way to read a matrix entry by entry."""
+        return [[row.get(j, 0) for j in range(self.cols)] for row in self.data]
 
     def __eq__(self, other):
         return (
@@ -67,36 +70,30 @@ class QMatrix:
 
     def transpose(self) -> "QMatrix":
         out = QMatrix(self.cols, self.rows)
-        data = self.data
-        for i in range(self.rows):
-            row = data[i]
-            for j in range(self.cols):
-                out.data[j][i] = row[j]
+        for i, row in enumerate(self.data):
+            for j, x in row.items():
+                out.data[j][i] = x
         return out
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        out = QMatrix(self.rows, other.cols)
-        # the nonzeros of each row of other, found once instead of once per row of self
-        nonzeros = [[(j, t) for j, t in enumerate(trow) if t] for trow in other.data]
-        for i in range(self.rows):
-            srow = self.data[i]
-            orow = out.data[i]
-            for k in range(self.cols):
-                s = srow[k]
-                if s:
-                    for j, t in nonzeros[k]:
-                        orow[j] += s * t
-        return out
+        data = []
+        for srow in self.data:
+            acc: dict = {}
+            for k, s in srow.items():
+                for j, t in other.data[k].items():
+                    acc[j] = acc.get(j, 0) + s * t
+            data.append({j: _q(x) for j, x in acc.items() if x})
+        return QMatrix(self.rows, other.cols, data)
 
     def is_zero(self) -> bool:
-        return all(not x for row in self.data for x in row)
+        return not any(self.data)
 
     def to_float(self) -> np.ndarray:
-        out = np.empty((self.rows, self.cols), dtype=float)
+        out = np.zeros((self.rows, self.cols))
         for i, row in enumerate(self.data):
-            for j, x in enumerate(row):
+            for j, x in row.items():
                 out[i, j] = float(x)
         return out
 
@@ -104,56 +101,57 @@ class QMatrix:
 def hstack(a: QMatrix, b: QMatrix) -> QMatrix:
     if a.rows != b.rows:
         raise ValueError("row count mismatch in hstack")
-    out = QMatrix(a.rows, a.cols + b.cols)
-    for i in range(a.rows):
-        out.data[i] = a.data[i] + b.data[i]
-    return out
+    shift = a.cols
+    data = [{**ra, **{j + shift: x for j, x in rb.items()}} for ra, rb in zip(a.data, b.data)]
+    return QMatrix(a.rows, a.cols + b.cols, data)
 
 
 def rref(m: QMatrix) -> tuple[QMatrix, list[int]]:
-    """Reduced row echelon form and pivot column indices (Gauss-Jordan)."""
-    r = m.copy()
-    data = r.data
-    nrows, ncols = r.rows, r.cols
+    """Reduced row echelon form and its ascending pivot columns (Gauss-Jordan).
+
+    Columns are eliminated in ascending order; each pivot is the shortest row
+    with a nonzero there. The reduced form of a matrix is unique, so the choice
+    of pivot row, like the input's row order, never shows in the result. Pivot
+    rows come first, in pivot order, then the zero rows.
+    """
+    rows = [dict(r) for r in m.data]
+    where: dict[int, set[int]] = {}  # column -> rows with a nonzero there
+    for i, row in enumerate(rows):
+        for j in row:
+            where.setdefault(j, set()).add(i)
+    pivoted = [False] * len(rows)
+    order: list[int] = []
     pivots: list[int] = []
-    piv_row = 0
-    for col in range(ncols):
-        if piv_row >= nrows:
-            break
-        # partial search for any nonzero pivot; exact arithmetic needs no scaling heuristics
-        sel = -1
-        for i in range(piv_row, nrows):
-            if data[i][col]:
-                sel = i
-                break
-        if sel < 0:
+    for col in sorted(where):
+        candidates = [i for i in where[col] if not pivoted[i]]
+        if not candidates:
             continue
-        if sel != piv_row:
-            data[sel], data[piv_row] = data[piv_row], data[sel]
-        prow = data[piv_row]
+        sel = min(candidates, key=lambda i: (len(rows[i]), i))
+        prow = rows[sel]
         p = prow[col]
-        if p != ONE:
-            inv = ONE / p
-            for j in range(col, ncols):
-                if prow[j]:
-                    prow[j] *= inv
-        for i in range(nrows):
-            if i == piv_row:
-                continue
-            f = data[i][col]
-            if f:
-                irow = data[i]
-                for j in range(col, ncols):
-                    if prow[j]:
-                        irow[j] -= f * prow[j]
+        if p != 1:
+            inv = -1 if p == -1 else _q(1 / Fraction(p))
+            prow = rows[sel] = {j: _q(x * inv) for j, x in prow.items()}
+        for i in [i for i in where[col] if i != sel]:
+            row = rows[i]
+            f = row[col]
+            for j, x in prow.items():
+                y = row.get(j, 0) - f * x
+                if y:
+                    if j not in row:
+                        where[j].add(i)
+                    row[j] = _q(y)
+                else:
+                    del row[j]
+                    where[j].discard(i)
+        pivoted[sel] = True
+        order.append(sel)
         pivots.append(col)
-        piv_row += 1
-    return r, pivots
+    data = [rows[i] for i in order] + [{} for _ in range(m.rows - len(order))]
+    return QMatrix(m.rows, m.cols, data), pivots
 
 
 def rank(m: QMatrix) -> int:
-    if m.rows == 0 or m.cols == 0:
-        return 0
     return len(rref(m)[1])
 
 
@@ -163,21 +161,14 @@ def kernel_basis(m: QMatrix) -> QMatrix:
     Free variable f contributes the column with 1 at f and -R[i][f] at each
     pivot column p_i, giving a reproducible basis for a given column order.
     """
-    n = m.cols
-    if n == 0:
-        return QMatrix(0, 0)
-    if m.rows == 0:
-        return QMatrix.identity(n)
     r, pivots = rref(m)
     pivot_set = set(pivots)
-    free = [j for j in range(n) if j not in pivot_set]
-    out = QMatrix(n, len(free))
-    for k, f in enumerate(free):
-        out.data[f][k] = ONE
-        for i, p in enumerate(pivots):
-            v = r.data[i][f]
-            if v:
-                out.data[p][k] = -v
+    free = {f: k for k, f in enumerate(j for j in range(m.cols) if j not in pivot_set)}
+    out = QMatrix(m.cols, len(free))
+    for f, k in free.items():
+        out.data[f][k] = 1
+    for p, row in zip(pivots, r.data):
+        out.data[p] = {free[f]: -x for f, x in row.items() if f != p}
     return out
 
 
@@ -190,13 +181,13 @@ def solve(a: QMatrix, b: QMatrix) -> QMatrix:
         raise ValueError("row count mismatch in solve")
     units: dict[int, int] = {}  # column j -> first row equal to e_j
     for i, row in enumerate(a.data):
-        nonzero = [j for j, x in enumerate(row) if x]
-        if len(nonzero) == 1 and row[nonzero[0]] == ONE:
-            units.setdefault(nonzero[0], i)
+        if len(row) == 1:
+            (j, x), = row.items()
+            if x == 1:
+                units.setdefault(j, i)
     if len(units) != a.cols:
         raise ValueError("solve needs a coefficient matrix with a unit row for every column")
-    x = QMatrix(a.cols, b.cols)
-    x.data = [b.data[units[j]][:] for j in range(a.cols)]
+    x = QMatrix(a.cols, b.cols, [dict(b.data[units[j]]) for j in range(a.cols)])
     if a @ x != b:
         raise StructuralError("linear system is inconsistent: target not in column span")
     return x
@@ -204,27 +195,15 @@ def solve(a: QMatrix, b: QMatrix) -> QMatrix:
 
 def column_space_basis(m: QMatrix) -> QMatrix:
     """Echelon basis of the column span (reproducible for a given row order)."""
-    if m.rows == 0 or m.cols == 0:
-        return QMatrix(m.rows, 0)
     r, pivots = rref(m.transpose())
-    out = QMatrix(m.rows, len(pivots))
-    for k in range(len(pivots)):
-        row = r.data[k]
-        for i in range(m.rows):
-            out.data[i][k] = row[i]
-    return out
+    return QMatrix(len(pivots), m.rows, r.data[: len(pivots)]).transpose()
 
 
 def _coefficients_into(a: QMatrix, b: QMatrix) -> QMatrix:
     """Columns spanning {x : A x in span(b)}: the x-part of ker([A | -b])."""
-    neg = QMatrix(b.rows, b.cols)
-    for i in range(b.rows):
-        neg.data[i] = [-x for x in b.data[i]]
+    neg = QMatrix(b.rows, b.cols, [{j: -x for j, x in row.items()} for row in b.data])
     k = kernel_basis(hstack(a, neg))
-    coeffs = QMatrix(a.cols, k.cols)
-    for i in range(a.cols):
-        coeffs.data[i] = k.data[i][:]
-    return coeffs
+    return QMatrix(a.cols, k.cols, k.data[: a.cols])
 
 
 def preimage_basis(m: QMatrix, target: QMatrix) -> QMatrix:

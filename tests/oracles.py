@@ -3,16 +3,20 @@
 Nothing here reuses the package's invariant-subspace construction:
 enumeration is brute force over vertex tuples, ranks come from sympy, and
 Betti numbers use the embedded-homology quotient formula over unrestricted
-boundary matrices. The one exception is `oracle_auxiliary_route`, which
-builds the auxiliary complex along a second route on the package's
-Gauss-Jordan elimination (`rational.rref`), never through `rational.solve`.
-These stay deliberately slow and simple so they can sit in judgment over
-the fast implementations.
+boundary matrices. Exact elimination has a second judge besides sympy: the
+dense Fraction Gauss-Jordan `oracle_dense_rref`, with the kernel,
+column-space and preimage bases read off it. The one exception is
+`oracle_auxiliary_route`, which builds the auxiliary complex along a second
+route: the package's `rational.preimage_basis`, with every re-expression
+solved by `oracle_dense_rref`, never through `rational.solve`. These stay
+deliberately slow and simple so they can sit in judgment over the fast
+implementations.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import sympy
 
@@ -46,14 +50,73 @@ def brute_anchor_paths_hypergraph(h: Hypergraph, p: int) -> list[tuple[int, ...]
     return sorted(out)
 
 
+def to_sympy(m: QMatrix) -> sympy.Matrix:
+    return sympy.Matrix(m.rows, m.cols, [sympy.Rational(x.numerator, x.denominator)
+                                         for row in m.to_rows() for x in row])
+
+
 def sympy_rank(qmatrix) -> int:
     """Exact rank through sympy, as a fully independent backend."""
     if qmatrix.rows == 0 or qmatrix.cols == 0:
         return 0
-    m = sympy.Matrix(
-        [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in qmatrix.data]
-    )
-    return m.rank()
+    return to_sympy(qmatrix).rank()
+
+
+def dense(rows: list[list], cols: int) -> QMatrix:
+    """A QMatrix from dense rows, with its column count kept when there are no rows."""
+    return QMatrix.from_rows(rows) if rows else QMatrix(0, cols)
+
+
+def oracle_dense_rref(m: QMatrix) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form as dense Fraction rows, and its pivot columns.
+
+    Plain Gauss-Jordan over every cell: the first nonzero row at or below the
+    pivot row is swapped up and scaled, and the column is cleared in every
+    other row. Pivot rows come first, then the zero rows.
+    """
+    data = [[Fraction(x) for x in row] for row in m.to_rows()]
+    pivots: list[int] = []
+    for col in range(m.cols):
+        top = len(pivots)
+        sel = next((i for i in range(top, m.rows) if data[i][col]), None)
+        if sel is None:
+            continue
+        data[sel], data[top] = data[top], data[sel]
+        p = data[top][col]
+        prow = data[top] = [x / p for x in data[top]]
+        for i in range(m.rows):
+            if i != top and data[i][col]:
+                f = data[i][col]
+                data[i] = [x - f * y for x, y in zip(data[i], prow)]
+        pivots.append(col)
+    return data, pivots
+
+
+def oracle_kernel_basis(m: QMatrix) -> QMatrix:
+    """Null-space basis read off `oracle_dense_rref`: free column f gives 1 at f
+    and -R[i][f] at each pivot column p_i."""
+    r, pivots = oracle_dense_rref(m)
+    free = [j for j in range(m.cols) if j not in pivots]
+    out = [[Fraction(0)] * len(free) for _ in range(m.cols)]
+    for k, f in enumerate(free):
+        out[f][k] = Fraction(1)
+        for i, p in enumerate(pivots):
+            out[p][k] = -r[i][f]
+    return dense(out, len(free))
+
+
+def oracle_column_space_basis(m: QMatrix) -> QMatrix:
+    """The pivot rows of `oracle_dense_rref` of the transpose, as columns."""
+    rows = m.to_rows()
+    r, pivots = oracle_dense_rref(dense([[row[j] for row in rows] for j in range(m.cols)], m.rows))
+    return dense([[r[k][i] for k in range(len(pivots))] for i in range(m.rows)], len(pivots))
+
+
+def oracle_preimage_basis(m: QMatrix, target: QMatrix) -> QMatrix:
+    """Column-space basis of the x-part of ker([M | -target])."""
+    rows = [a + [-x for x in b] for a, b in zip(m.to_rows(), target.to_rows())]
+    k = oracle_kernel_basis(dense(rows, m.cols + target.cols))
+    return oracle_column_space_basis(dense(k.to_rows()[: m.cols], k.cols))
 
 
 def _closure_labels(paths_per_degree):
@@ -198,11 +261,9 @@ def oracle_persistent_betti(ga: Digraph, gb: Digraph, n: int) -> int:
 
 def _gauss_jordan_solve(a: QMatrix, b: QMatrix) -> QMatrix:
     """The unique X with A X = B, read off the reduced echelon form of [A | B]."""
-    aug, pivots = qa.rref(qa.hstack(a, b))
+    aug, pivots = oracle_dense_rref(qa.hstack(a, b))
     assert pivots == list(range(a.cols)), "system is inconsistent or A is rank-deficient"
-    x = QMatrix(a.cols, b.cols)
-    x.data = [row[a.cols :] for row in aug.data[: a.cols]]
-    return x
+    return dense([row[a.cols :] for row in aug[: a.cols]], b.cols)
 
 
 def oracle_a_in_b(stages, a: int, b: int) -> list[QMatrix]:

@@ -88,7 +88,7 @@ def test_omega_square_digraph():
     assert c.dim(2) == 1
     basis = c.degrees[2].omega
     # the generator is the difference of the two directed 2-paths around the square
-    assert sorted(x for row in basis.data for x in row) == [Fraction(-1), Fraction(1)]
+    assert sorted(x for row in basis.to_rows() for x in row) == [Fraction(-1), Fraction(1)]
 
 
 def test_boundary_composes_to_zero_on_corpus(digraph_complexes):

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from pathdirac import Digraph, build_digraph_complex, dirac, down_laplacian, laplacian
@@ -309,3 +310,45 @@ def test_overlong_stage_name_is_parse_error(tmp_path, capsys, argv):
     manifest.write_text("a" * 300 + "\n", encoding="utf-8")
     assert main([argv[0], str(manifest), *argv[1:], "--out", str(tmp_path)]) == 2
     assert f"error: {manifest}:1: cannot look up stage file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (["complex", "{graph}"], "{graph}"),
+        (["dirac", "{graph}"], "{graph}"),
+        (["persist", "{manifest}"], "{manifest}"),
+        (["complex", "{graph}"], "{graph}/sub"),
+    ],
+    ids=["complex", "dirac", "persist", "complex-below-a-file"],
+)
+def test_out_naming_a_file_is_usage_error(tmp_path, capsys, argv, out):
+    (tmp_path / "g.txt").write_text(CYCLIC, encoding="utf-8")
+    (tmp_path / "m.txt").write_text("g.txt\n", encoding="utf-8")
+    paths = {"graph": tmp_path / "g.txt", "manifest": tmp_path / "m.txt"}
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(**paths) for arg in argv] + ["--out", out.format(**paths)])
+    assert exc.value.code == 1
+    file = paths[argv[1][1:-1]]
+    assert f"error: argument --out: {file} exists and is not a directory" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_out_name_too_long_is_usage_error(cyclic_file, tmp_path, capsys):
+    out = tmp_path / ("a" * 300)
+    with pytest.raises(SystemExit) as exc:
+        main(["complex", str(cyclic_file), "--out", str(out)])
+    assert exc.value.code == 1
+    assert f"error: argument --out: {out}: File name too long" in capsys.readouterr().err
+
+
+def test_eigensolver_failure_is_identity_error(cyclic_file, tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    assert main(["dirac", str(cyclic_file), "--p", "0", "--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert "error: eigvalsh failed on the 3x3 operator: Eigenvalues did not converge" in err
+    assert "Traceback" not in err

@@ -1,5 +1,6 @@
 """Filtrations, auxiliary complexes, and persistent operators."""
 
+import copy
 import random
 
 import numpy as np
@@ -361,6 +362,18 @@ def test_feature_grid_jobs_deterministic():
     g1 = feature_grid(stages, 1, jobs=1)
     g2 = feature_grid(stages, 1, jobs=4)
     assert g1.rows() == g2.rows()
+
+
+def test_grid_leaves_shared_stage_data_unchanged(molecule_stage_complexes):
+    """Every pair, in pool threads too, reads the same stage matrices, so
+    neither auxiliary_complex nor the grid may write into their row dicts."""
+    stages = molecule_stage_complexes
+    shared = [m for c in stages.complexes for d in c.degrees for m in (d.omega, d.boundary)]
+    before = copy.deepcopy(shared)
+    auxiliary_complex(stages, 1, len(stages))
+    feature_grid(stages, 1, jobs=3)
+    assert shared == before
+    assert [m.to_rows() for m in shared] == [m.to_rows() for m in before]
 
 
 def test_feature_grid_ranks_only_stage_boundaries(monkeypatch):

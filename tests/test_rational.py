@@ -1,13 +1,25 @@
-"""Exact linear algebra against sympy and floating SVD backends."""
+"""Exact linear algebra against sympy, the dense Gauss-Jordan oracle and floating SVD."""
 
+import copy
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import sympy_rank
+from oracles import (
+    _gauss_jordan_solve,
+    dense,
+    oracle_column_space_basis,
+    oracle_dense_rref,
+    oracle_kernel_basis,
+    oracle_preimage_basis,
+    sympy_rank,
+    to_sympy,
+)
 from pathdirac import rational as qa
 from pathdirac.errors import StructuralError
 from pathdirac.operators import float_rank
@@ -89,10 +101,6 @@ def hidden_identity(rng, cols, unit_rows=True):
 
 
 def sympy_solve(a: QMatrix, b: QMatrix) -> QMatrix:
-    def to_sympy(m):
-        return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
-                             for row in m.data])
-
     sol, params = to_sympy(a).gauss_jordan_solve(to_sympy(b))
     assert params.shape[0] == 0
     return QMatrix.from_rows([[Fraction(int(x.p), int(x.q)) for x in row]
@@ -149,7 +157,7 @@ def test_solve_rejects_inconsistent_hidden_identities():
 def test_solve_rank_deficient_coefficients_still_rejected():
     rng = random.Random(37)
     a = hidden_identity(rng, 3)
-    deficient = qa.hstack(a, QMatrix.from_rows([[row[0] + row[1]] for row in a.data]))
+    deficient = qa.hstack(a, QMatrix.from_rows([[row[0] + row[1]] for row in a.to_rows()]))
     with pytest.raises(ValueError, match="unit row for every column"):
         qa.solve(deficient, deficient @ random_qmatrix(rng, 4, 2))
 
@@ -225,3 +233,125 @@ def test_matmul_and_transpose_agree_with_numpy():
     b = random_qmatrix(rng, 3, 5, entries=(-2, -1, 0, 1, 2))
     np.testing.assert_allclose((a @ b).to_float(), a.to_float() @ b.to_float())
     np.testing.assert_allclose(a.transpose().to_float(), a.to_float().T)
+
+
+# ---------------------------------------------------------------------------
+# The sparse kernel against the dense Gauss-Jordan oracle and sympy, on
+# generated matrices with non-integral entries and empty and all-zero shapes.
+# Derandomized, so every run checks the same examples.
+
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+ENTRIES = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+
+
+@st.composite
+def matrices(draw, rows=None, cols=None):
+    rows = draw(st.integers(0, 5)) if rows is None else rows
+    cols = draw(st.integers(0, 5)) if cols is None else cols
+    entries = st.just(0) if draw(st.integers(0, 7)) == 0 else ENTRIES
+    return dense(draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                               min_size=rows, max_size=rows)), cols)
+
+
+def assert_stored_form(m: QMatrix) -> None:
+    """No stored zero, and every integral value an int: the fast path's invariant."""
+    rows = m.to_rows()
+    assert len(rows) == m.rows and all(len(row) == m.cols for row in rows)
+    assert m == dense(rows, m.cols), "a zero is stored"
+    for x in (x for row in rows for x in row):
+        assert type(x) is (int if x.denominator == 1 else Fraction), repr(x)
+
+
+def sympy_echelon_columns(m: sympy.Matrix) -> sympy.Matrix:
+    """The pivot rows of the reduced echelon form of m's transpose, as columns."""
+    r, pivots = m.T.rref()
+    return r[: len(pivots), :].T
+
+
+def columns(m: sympy.Matrix) -> list[list]:
+    return [list(m[:, j]) for j in range(m.cols)]
+
+
+@SETTINGS
+@given(matrices(), st.randoms(use_true_random=False))
+def test_rref_matches_oracles_in_any_row_order(m, rng):
+    r, pivots = qa.rref(m)
+    assert_stored_form(r)
+    assert (r.rows, r.cols) == (m.rows, m.cols)
+    assert (r.to_rows(), pivots) == oracle_dense_rref(m)
+    expected, sympy_pivots = to_sympy(m).rref()
+    assert to_sympy(r) == expected and tuple(pivots) == sympy_pivots
+    rows = m.to_rows()
+    rng.shuffle(rows)
+    assert qa.rref(dense(rows, m.cols)) == (r, pivots)
+
+
+@SETTINGS
+@given(matrices())
+def test_rank_and_kernel_match_oracles(m):
+    rank = qa.rank(m)
+    assert rank == len(oracle_dense_rref(m)[1]) == sympy_rank(m)
+    k = qa.kernel_basis(m)
+    assert_stored_form(k)
+    assert k == oracle_kernel_basis(m)
+    assert columns(to_sympy(k)) == [list(v) for v in to_sympy(m).nullspace()]
+    assert (k.rows, k.cols) == (m.cols, m.cols - rank)
+
+
+@SETTINGS
+@given(matrices())
+def test_column_space_basis_matches_oracles(m):
+    c = qa.column_space_basis(m)
+    assert_stored_form(c)
+    assert c == oracle_column_space_basis(m)
+    assert to_sympy(c) == sympy_echelon_columns(to_sympy(m))
+
+
+@SETTINGS
+@given(st.data())
+def test_preimage_basis_matches_oracles(data):
+    rows = data.draw(st.integers(0, 5))
+    m, target = data.draw(matrices(rows=rows)), data.draw(matrices(rows=rows))
+    pre = qa.preimage_basis(m, target)
+    assert_stored_form(pre)
+    assert pre == oracle_preimage_basis(m, target)
+    null = sympy.Matrix.hstack(to_sympy(m), -to_sympy(target)).nullspace()
+    if null:
+        expected = sympy_echelon_columns(sympy.Matrix.hstack(*[v[: m.cols, :] for v in null]))
+    else:
+        expected = sympy.zeros(m.cols, 0)
+    assert to_sympy(pre) == expected
+
+
+@SETTINGS
+@given(matrices(), st.sampled_from([qa.kernel_basis, qa.column_space_basis]), st.data())
+def test_solve_matches_oracles(m, echelon, data):
+    a = echelon(m)
+    x = data.draw(matrices(rows=a.cols))
+    b = a @ x
+    assert_stored_form(b)
+    solved = qa.solve(a, b)
+    assert_stored_form(solved)
+    assert solved == x == _gauss_jordan_solve(a, b)
+    if a.cols and x.cols:
+        assert solved == sympy_solve(a, b)
+
+
+@SETTINGS
+@given(matrices(), st.data())
+def test_exact_operations_leave_their_inputs_unchanged(m, data):
+    """Stage data is shared across pairs and pool threads, so no call may write
+    into the row dicts of its arguments."""
+    a = qa.kernel_basis(m)
+    x = data.draw(matrices(rows=a.cols))
+    b = a @ x
+    inputs = [m, a, x, b]
+    before = copy.deepcopy(inputs)
+    qa.rref(m)
+    qa.kernel_basis(m)
+    qa.solve(a, b)
+    a @ x
+    qa.column_space_basis(m)
+    qa.preimage_basis(m, dense(m.to_rows(), m.cols))
+    assert inputs == before
+    assert [q.to_rows() for q in inputs] == [q.to_rows() for q in before]
