@@ -143,14 +143,16 @@ class ChainComplex(ExactComplex):
 def orthonormal_basis(basis: QMatrix) -> np.ndarray:
     """Float orthonormal basis with the same span as the exact one.
 
-    A basis that is already exactly orthonormal is returned unchanged so
-    integer boundary matrices stay integer; otherwise QR with the diagonal
-    of R normalized positive, which makes the output deterministic.
+    A basis whose columns are distinct unit vectors with entry 1 is returned
+    unchanged, so integer boundary matrices stay integer; any other basis
+    goes through QR with the diagonal of R normalized positive, which makes
+    the output deterministic.
     """
     if basis.cols == 0:
         return np.zeros((basis.rows, 0))
-    gram = basis.transpose() @ basis
-    if gram == QMatrix.identity(basis.cols):
+    # each column is the 1 of exactly one row {j: 1}, and there are no other nonzeros
+    ones = sorted(j for row in basis.data if len(row) == 1 for j, x in row.items() if x == 1)
+    if ones == list(range(basis.cols)) and sum(map(len, basis.data)) == basis.cols:
         return basis.to_float()
     w = basis.to_float()
     q, r = np.linalg.qr(w)

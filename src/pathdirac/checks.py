@@ -46,12 +46,6 @@ def _result(name: str, passed: bool, detail: str) -> CheckResult:
     return CheckResult(name, bool(passed), detail)
 
 
-def check_boundary_square(c: ChainComplex) -> CheckResult:
-    """Records ∂∂ = 0 without recomputing it: `ChainComplex` raises a
-    StructuralError (exit 4) on a nonzero composition, so c satisfies it."""
-    return _result("boundary-composition-zero", True, "exact at all degrees")
-
-
 def check_dirac_identities(c: ChainComplex, laps: list[Laplacian]) -> list[CheckResult]:
     """Square, spectrum symmetry and nullity identity of D_p, from one report per degree."""
     reports = [verify_dirac_square(c, p, laplacians=laps) for p in range(c.p_top)]
@@ -135,7 +129,9 @@ def graph_check_suite(graph: Digraph | Hypergraph, c: ChainComplex) -> list[Chec
     submods = [embed_paths(ps, ambient.labels[k]) for k, ps in enumerate(paths)]
     inf = infimum_complex(ambient, submods)
     laps = [laplacian(c, i) for i in range(c.p_top)]  # shared by the square and rank checks
-    results = [check_boundary_square(c)]
+    # ∂∂ = 0 is not recomputed: `ChainComplex` raises a StructuralError (exit 4)
+    # on a nonzero composition, so c satisfies it.
+    results = [_result("boundary-composition-zero", True, "exact at all degrees")]
     results.extend(check_dirac_identities(c, laps))
     results.append(check_exact_vs_float_ranks(c, laps))
     results.append(check_h1_formula(graph, c))

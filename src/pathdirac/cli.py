@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .chain import build_digraph_complex, build_hypergraph_complex
 from .checks import filtration_check_suite, graph_check_suite
-from .errors import ParseError, PathDiracError
+from .errors import PathDiracError
 from .fileio import (
     grid_csv,
     grid_payload,
@@ -31,7 +31,6 @@ from .heatmap import grid_heatmap_svg
 from .molecules import bond_digraph, distance_filtration, load_molecule
 from .operators import (
     DEFAULT_DENSE_LIMIT,
-    DEFAULT_ZERO_TOL,
     FeatureSet,
     dirac,
     down_laplacian,
@@ -81,23 +80,22 @@ def build_parser() -> CliParser:
     parser = CliParser(prog="pathdirac", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, degree_help=None):
+    def common(p, degree_help=None, dense=True):
         p.add_argument("--p", type=_int_at_least(0), default=1, help=degree_help)
         p.add_argument("--out", type=_out_dir, default=".",
                        help="output directory (default: current)")
         p.add_argument("--cap", type=_int_at_least(0), default=DEFAULT_PATH_CAP,
                        help="max anchor paths per degree")
-        p.add_argument("--max-dense", type=_int_at_least(0), default=DEFAULT_DENSE_LIMIT,
-                       help="max dense operator size")
-        p.add_argument("--tol", type=float, default=DEFAULT_ZERO_TOL,
-                       help="zero-eigenvalue tolerance (within [1e-12, 1e-6])")
+        if dense:  # complex builds no dense operator; check keeps the default guard
+            p.add_argument("--max-dense", type=_int_at_least(0), default=DEFAULT_DENSE_LIMIT,
+                           help="max dense operator size")
 
     p_complex = sub.add_parser("complex", help="invariant subspace dims, ranks, Betti numbers")
     p_complex.add_argument("input")
     p_complex.add_argument("--kind", choices=("digraph", "hypergraph"), default="digraph")
     p_complex.add_argument("--dump-matrices", action="store_true",
                            help="include exact boundary matrices in the JSON")
-    common(p_complex, "top homology degree to report")
+    common(p_complex, "top homology degree to report", dense=False)
 
     p_dirac = sub.add_parser("dirac", help="Laplacian/Dirac spectra and features")
     p_dirac.add_argument("input")
@@ -127,14 +125,8 @@ def build_parser() -> CliParser:
     p_check.add_argument("input")
     p_check.add_argument("--kind", choices=("digraph", "hypergraph", "filtration"),
                          default="digraph")
-    common(p_check)
+    common(p_check, dense=False)
     return parser
-
-
-def _tol(args) -> float:
-    if not 1e-12 <= args.tol <= 1e-6:
-        raise ParseError(f"--tol must lie in [1e-12, 1e-6], got {args.tol}")
-    return args.tol
 
 
 def _spectrum_payload(degree: int, spec, feats) -> dict:
@@ -179,7 +171,6 @@ def cmd_complex(args) -> int:
 
 
 def cmd_dirac(args) -> int:
-    tol = _tol(args)
     graph = load_graph(args.input, args.kind)
     c = _build(args, graph)
     built = {f"laplacian_{n}": laplacian(c, n, args.max_dense) for n in range(args.p + 1)}
@@ -187,7 +178,7 @@ def cmd_dirac(args) -> int:
     built[f"dirac_{args.p}"] = d = dirac(c, args.p, args.max_dense)
     operators = {}
     for name, op in built.items():
-        spec = eigen_spectrum(op.matrix, op.exact_nullity, tol)
+        spec = eigen_spectrum(op.matrix, op.exact_nullity)
         operators[name] = _spectrum_payload(op.degree, spec, features(spec))
     payload = {"kind": args.kind, "p": args.p, "operators": operators}
     doc = result_document("dirac", args.input, payload)
@@ -205,10 +196,10 @@ def cmd_dirac(args) -> int:
     return 0
 
 
-def _emit_grid(args, filtration, tol, source, command) -> int:
+def _emit_grid(args, filtration, source, command) -> int:
     """Persistent Dirac feature grid of a filtration, written as JSON, CSV and SVG."""
     stages = StageComplexes(filtration, args.p + 1, args.cap)
-    grid = feature_grid(stages, args.p, tuple(args.features), jobs=args.jobs, zero_tol=tol,
+    grid = feature_grid(stages, args.p, tuple(args.features), jobs=args.jobs,
                         dense_limit=args.max_dense)
     stem = Path(source).stem
     doc = result_document(command, source, grid_payload(grid))
@@ -224,16 +215,14 @@ def _emit_grid(args, filtration, tol, source, command) -> int:
 
 
 def cmd_persist(args) -> int:
-    tol = _tol(args)
-    return _emit_grid(args, load_manifest(args.manifest), tol, args.manifest, "persist")
+    return _emit_grid(args, load_manifest(args.manifest), args.manifest, "persist")
 
 
 def cmd_molecule(args) -> int:
-    tol = _tol(args)
     mol = load_molecule(args.input)
     weighted = bond_digraph(mol)
     filtration = distance_filtration(weighted, args.thresholds)
-    return _emit_grid(args, filtration, tol, args.input, "molecule")
+    return _emit_grid(args, filtration, args.input, "molecule")
 
 
 def cmd_check(args) -> int:

@@ -142,12 +142,17 @@ def parse_manifest(text: str, base_dir, path: str | None = None) -> Filtration:
                 raise ParseError(f"bad weighted edge {line!r}", path, lineno) from None
             if not math.isfinite(w):
                 raise ParseError(f"edge weight must be finite, got {line!r}", path, lineno)
+            try:
+                Digraph.of((), [(u, v)])  # a loop or a negative id, named at its line
+            except ParseError as exc:
+                raise ParseError(str(exc), path, lineno) from None
             weighted.append((u, v, w))
         all_vertices = set(vertices) | {u for u, _, _ in weighted} | {v for _, v, _ in weighted}
-        stages = []
-        for t in thresholds:
-            edges = [(u, v) for u, v, w in weighted if w <= t]
-            stages.append(Digraph.of(all_vertices, edges))
+        try:
+            stages = [Digraph.of(all_vertices, [(u, v) for u, v, w in weighted if w <= t])
+                      for t in thresholds]
+        except ParseError as exc:  # a negative id in the `# vertices:` directive
+            raise ParseError(str(exc), path) from None
         return Filtration.of(stages, thresholds)
 
     kind = _directive(text, "kind")[1] or "digraph"

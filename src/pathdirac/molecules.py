@@ -153,18 +153,17 @@ class WeightedDigraph:
                 raise StructuralError(f"reciprocal edges {u}<->{v} carry unequal weights")
 
 
-def bond_digraph(mol: Molecule, table: dict[str, float] | None = None) -> WeightedDigraph:
+def bond_digraph(mol: Molecule) -> WeightedDigraph:
     """Directed edges along increasing electronegativity over the bond set.
 
     Equal electronegativity yields a reciprocal pair; the weight of every
     edge is the interatomic distance, so reciprocal edges weigh the same.
     """
-    table = PAULING_ELECTRONEGATIVITY if table is None else table
     edges = []
     weights: dict[tuple[int, int], float] = {}
     for i, j in mol.bonds:
-        chi_i = table[mol.atoms[i].element]
-        chi_j = table[mol.atoms[j].element]
+        chi_i = PAULING_ELECTRONEGATIVITY[mol.atoms[i].element]
+        chi_j = PAULING_ELECTRONEGATIVITY[mol.atoms[j].element]
         d = mol.distance(i, j)
         if chi_i < chi_j:
             pairs = [(i, j)]

@@ -149,8 +149,7 @@ def persistent_dirac(aux: AuxiliaryComplex, p: int,
     return dirac(aux, p, dense_limit)
 
 
-def persistent_laplacian(aux: AuxiliaryComplex, n: int,
-                         dense_limit: int = DEFAULT_DENSE_LIMIT) -> Laplacian:
+def persistent_laplacian(aux: AuxiliaryComplex, n: int) -> Laplacian:
     """Persistent Laplacian on the stage-a degree-n space.
 
     Down part from the stage-a boundary; up part from the boundary of the
@@ -208,16 +207,13 @@ DEFAULT_FEATURES = ("nullity", "mean_pos", "gen_mean")
 
 
 def feature_grid(
-    stages: StageComplexes | Filtration,
+    stages: StageComplexes,
     p: int,
     feature_names: tuple[str, ...] = DEFAULT_FEATURES,
     jobs: int = 1,
-    zero_tol: float | None = None,
     dense_limit: int = DEFAULT_DENSE_LIMIT,
 ) -> FeatureGrid:
     """Persistent Dirac features over every stage pair n <= m."""
-    if isinstance(stages, Filtration):
-        stages = StageComplexes(stages, p + 1)
     for name in feature_names:
         if name not in FeatureSet.FIELDS:
             raise ValueError(f"unknown feature {name!r}; choose from {FeatureSet.FIELDS}")
@@ -229,8 +225,7 @@ def feature_grid(
         n, m = pair
         aux = auxiliary_complex(stages, n, m)
         d = persistent_dirac(aux, p, dense_limit)
-        kwargs = {} if zero_tol is None else {"zero_tol": zero_tol}
-        return pair, features(eigen_spectrum(d.matrix, d.exact_nullity, **kwargs))
+        return pair, features(eigen_spectrum(d.matrix, d.exact_nullity))
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -49,10 +49,6 @@ class QMatrix:
     def identity(cls, n: int) -> "QMatrix":
         return cls(n, n, [{i: 1} for i in range(n)])
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "QMatrix":
-        return cls(rows, cols)
-
     def to_rows(self) -> list[list]:
         """Dense rows, zeros included: the one way to read a matrix entry by entry."""
         return [[row.get(j, 0) for j in range(self.cols)] for row in self.data]
@@ -222,13 +218,6 @@ def intersection_basis(a: QMatrix, b: QMatrix) -> QMatrix:
 
 def sum_space_basis(a: QMatrix, b: QMatrix) -> QMatrix:
     return column_space_basis(hstack(a, b))
-
-
-def is_subspace(a: QMatrix, b: QMatrix) -> bool:
-    """True when span(a) is contained in span(b)."""
-    if a.cols == 0:
-        return True
-    return rank(hstack(b, a)) == rank(b)
 
 
 def spans_equal(a: QMatrix, b: QMatrix) -> bool:

@@ -26,6 +26,11 @@ from pathdirac.graphs import Digraph, Hypergraph
 from pathdirac.rational import QMatrix
 
 
+def is_subspace(a: QMatrix, b: QMatrix) -> bool:
+    """True when span(a) is contained in span(b)."""
+    return a.cols == 0 or qa.rank(qa.hstack(b, a)) == qa.rank(b)
+
+
 def brute_anchor_paths_digraph(g: Digraph, p: int) -> list[tuple[int, ...]]:
     eset = set(g.edges)
     out = []

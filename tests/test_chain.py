@@ -168,6 +168,24 @@ def test_orthonormal_basis_properties():
     np.testing.assert_allclose(q @ (q.T @ w), w, atol=1e-10)  # same span
 
 
+def test_orthonormal_basis_passes_distinct_unit_columns_only(monkeypatch):
+    real_qr = np.linalg.qr
+    calls = []
+    monkeypatch.setattr(np.linalg, "qr", lambda w: calls.append(w.shape) or real_qr(w))
+    swap = QMatrix.from_rows([[0, 1], [0, 0], [1, 0]])
+    np.testing.assert_array_equal(orthonormal_basis(swap), swap.to_float())
+    assert calls == []
+    # exactly orthonormal, but not unit columns with entry 1: QR, same span
+    rational = QMatrix.from_rows([[Fraction(3, 5), 0], [Fraction(4, 5), 0], [0, -1]])
+    q = orthonormal_basis(rational)
+    assert calls == [(3, 2)]
+    w = rational.to_float()
+    np.testing.assert_allclose(q.T @ q, np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(q @ (q.T @ w), w, atol=1e-10)
+    with pytest.raises(StructuralError):  # a repeated unit column
+        orthonormal_basis(QMatrix.from_rows([[1, 1], [0, 0]]))
+
+
 def test_orthonormal_basis_rejects_rank_deficiency():
     with pytest.raises(StructuralError):
         orthonormal_basis(QMatrix.from_rows([[1, 1], [1, 1]]))
@@ -198,7 +216,7 @@ def test_infimum_of_full_ambient_is_ambient():
 def test_infimum_of_zero_is_zero():
     table = anchor_path_table(TRANSITIVE, 2)
     ambient = deletion_closure_complex(table)
-    zero = [QMatrix.zeros(ambient.dim(k), 0) for k in range(ambient.p_top + 1)]
+    zero = [QMatrix(ambient.dim(k), 0) for k in range(ambient.p_top + 1)]
     assert all(d == 0 for d in (infimum_complex(ambient, zero).dim(k) for k in range(3)))
     assert all(d == 0 for d in (supremum_complex(ambient, zero).dim(k) for k in range(3)))
 

@@ -156,10 +156,6 @@ def test_resource_cap_exit_code(tmp_path):
     assert main(["complex", str(path), "--p", "3", "--cap", "10"]) == 3
 
 
-def test_tol_window_enforced(cyclic_file, tmp_path):
-    assert main(["dirac", str(cyclic_file), "--tol", "0.5", "--out", str(tmp_path)]) == 2
-
-
 def test_unknown_feature_is_usage_error(tmp_path):
     (tmp_path / "s1.txt").write_text("# vertices: 0 1\n", encoding="utf-8")
     manifest = tmp_path / "filt.txt"
@@ -270,18 +266,45 @@ def test_check_filtration_growing_vertex_set(tmp_path, capsys, kind, stages, det
         ["complex", "{graph}", "--cap", "-1"],
         ["dirac", "{graph}", "--max-dense", "-1"],
         ["persist", "{manifest}", "--cap", "-1"],
-        ["check", "{graph}", "--max-dense", "-1"],
+        ["molecule", "{xyz}", "--thresholds", "1", "--max-dense", "-1"],
     ],
 )
 def test_negative_degree_and_jobs_are_usage_errors(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(_usage_argv(tmp_path, argv))
+    assert exc.value.code == 1
+    assert f"argument {argv[-2]}: must be at least" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _usage_argv(tmp_path, argv):
+    """argv with {graph}, {manifest} and {xyz} written under tmp_path, plus --out."""
     (tmp_path / "g.txt").write_text(CYCLIC, encoding="utf-8")
     (tmp_path / "m.txt").write_text("g.txt\n", encoding="utf-8")
     (tmp_path / "w.xyz").write_text(WATER, encoding="utf-8")
     paths = {"graph": tmp_path / "g.txt", "manifest": tmp_path / "m.txt", "xyz": tmp_path / "w.xyz"}
+    return [arg.format(**paths) for arg in argv] + ["--out", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["complex", "{graph}", "--tol", "1e-9"],
+        ["dirac", "{graph}", "--tol", "1e-9"],
+        ["persist", "{manifest}", "--tol", "1e-9"],
+        ["molecule", "{xyz}", "--thresholds", "1", "--tol", "1e-9"],
+        ["check", "{graph}", "--tol", "1e-9"],
+        ["complex", "{graph}", "--max-dense", "10"],
+        ["check", "{graph}", "--max-dense", "10"],
+    ],
+)
+def test_options_that_change_no_result_are_usage_errors(tmp_path, capsys, argv):
+    """--tol could not move the zero class, which is pinned to the exact nullity; complex
+    builds no dense operator and check keeps the default guard, so neither takes --max-dense."""
     with pytest.raises(SystemExit) as exc:
-        main([arg.format(**paths) for arg in argv] + ["--out", str(tmp_path / "out")])
+        main(_usage_argv(tmp_path, argv))
     assert exc.value.code == 1
-    assert f"argument {argv[-2]}: must be at least" in capsys.readouterr().err
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

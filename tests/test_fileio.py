@@ -127,6 +127,12 @@ def test_manifest_weighted_form_errors(tmp_path):
         parse_manifest("# thresholds: 0 1\n0 1 -inf\n", tmp_path, "m.txt")
     with pytest.raises(ParseError, match="^m.txt:1: thresholds must be strictly increasing"):
         parse_manifest("# thresholds: 0 0\n0 1 1\n", tmp_path, "m.txt")
+    with pytest.raises(ParseError, match="^m.txt:3: loop edge 1->1 is not permitted"):
+        parse_manifest("# thresholds: 1 2\n0 1 1\n1 1 2\n", tmp_path, "m.txt")
+    with pytest.raises(ParseError, match="^m.txt:2: vertex ids must be non-negative"):
+        parse_manifest("# thresholds: 1 2\n0 -1 1\n", tmp_path, "m.txt")
+    with pytest.raises(ParseError, match="^m.txt: vertex ids must be non-negative"):
+        parse_manifest("# thresholds: 1 2\n# vertices: -2\n0 1 1\n", tmp_path, "m.txt")
 
 
 def test_manifest_broken_nesting_is_structural(tmp_path):

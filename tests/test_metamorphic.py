@@ -20,6 +20,7 @@ from pathdirac import (
     Filtration,
     FeatureSet,
     Hypergraph,
+    StageComplexes,
     build_digraph_complex,
     build_hypergraph_complex,
     dirac,
@@ -43,8 +44,8 @@ def reversed_and_relabelled(f: Filtration, rng: random.Random) -> Filtration:
 
 def assert_same_grid(f: Filtration, rng: random.Random) -> None:
     names = FeatureSet.FIELDS
-    want = feature_grid(f, 1, names)
-    got = feature_grid(reversed_and_relabelled(f, rng), 1, names)
+    want = feature_grid(StageComplexes(f, 2), 1, names)
+    got = feature_grid(StageComplexes(reversed_and_relabelled(f, rng), 2), 1, names)
     assert got.cells.keys() == want.cells.keys()
     for pair, fs in want.cells.items():
         assert got.cells[pair].nullity == fs.nullity, pair

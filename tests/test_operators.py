@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathdirac import Digraph, build_digraph_complex
 from pathdirac.errors import NumericalInconsistencyError, ResourceLimitError
 from pathdirac.operators import (
+    TOL_WINDOW,
     Spectrum,
     dirac,
     down_laplacian,
@@ -111,6 +114,38 @@ def test_eigen_spectrum_inconsistency_raises():
         eigen_spectrum(m, exact_nullity=1)  # a hard zero cannot be reclassified
     with pytest.raises(NumericalInconsistencyError):
         eigen_spectrum(np.diag([1.0, 2.0]), exact_nullity=1)
+
+
+@st.composite
+def planted_kernels(draw):
+    """A rotated diagonal matrix: a planted kernel (zeros, or 3e-11 above the window's
+    low end), nonzero eigenvalues with ties (equal values and equal |λ| of opposite
+    sign, one of them 2e-8, inside the window), and a claimed nullity that is right,
+    one too many or one too few."""
+    kernel = draw(st.lists(st.sampled_from([0.0, 0.0, 3e-11]), max_size=4))
+    nonzero = draw(st.lists(st.sampled_from([-2.0, -1.0, 2e-8, 0.5, 1.0, 1.0, 3.0]),
+                            max_size=6))
+    n = len(kernel) + len(nonzero)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = np.linalg.qr(rng.normal(size=(n, n)))[0] if n else np.zeros((0, 0))
+    m = q @ np.diag(kernel + nonzero) @ q.T
+    return (m + m.T) / 2, len(kernel) + draw(st.sampled_from([0, 0, 1, -1]))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(planted_kernels())
+def test_zero_tol_inside_the_window_changes_no_result(case):
+    matrix, claim = case
+    outcomes = set()
+    for tol in np.geomspace(*TOL_WINDOW, 13):  # both ends and eleven points between
+        try:
+            spec = eigen_spectrum(matrix, claim, zero_tol=tol)
+        except NumericalInconsistencyError as exc:
+            outcomes.add(str(exc))
+        else:
+            outcomes.add((spec.values.tobytes(), spec.positives().tobytes(),
+                          tuple(features(spec).as_dict().items())))
+    assert len(outcomes) == 1, outcomes
 
 
 def test_eigen_spectrum_rejects_asymmetric():

@@ -8,6 +8,7 @@ import pytest
 
 from oracles import (
     _gauss_jordan_solve,
+    is_subspace,
     oracle_a_in_b,
     oracle_auxiliary_route,
     oracle_persistent_betti,
@@ -100,7 +101,7 @@ def test_sandwich_containment_on_corpus(filtration_stage_complexes):
                 aux = auxiliary_complex(stages, a, b)
                 a_in_b = oracle_a_in_b(stages, a, b)
                 for k in range(aux.p_top + 1):
-                    assert qa.is_subspace(a_in_b[k], aux.c_bases[k])
+                    assert is_subspace(a_in_b[k], aux.c_bases[k])
 
 
 def test_auxiliary_boundary_lands_in_stage_a(filtration_stage_complexes):
@@ -153,7 +154,7 @@ def assert_matches_preimage_route(stages: StageComplexes) -> int:
             for k in range(1, aux.p_top + 1):
                 assert aux.boundary_rank(k) == sympy_rank(boundaries[k])
             for k, stage_a in enumerate(oracle_a_in_b(stages, a, b)):
-                assert qa.is_subspace(stage_a, aux.c_bases[k])
+                assert is_subspace(stage_a, aux.c_bases[k])
     return n * (n + 1) // 2
 
 
@@ -407,7 +408,7 @@ def test_feature_grid_ranks_only_stage_boundaries(monkeypatch):
     monkeypatch.setattr(qa, "rank", rank)
     monkeypatch.setattr(qa, "rref", rref)
     monkeypatch.setattr(qa, "solve", solve)
-    grid = feature_grid(f, 1)
+    grid = feature_grid(StageComplexes(f, 2), 1)
     assert len(grid.cells) == 28
     assert calls["rank"] == 7 * 2
     assert calls["rref"] > 0 and calls["rref_in_solve"] == 0
@@ -454,8 +455,8 @@ def test_hypergraph_filtration_rejects_broken_nesting():
         Filtration.of([h1, h2])
 
 
-def test_feature_grid_accepts_filtration_directly():
+def test_feature_grid_edge_added_between_stages():
     f = Filtration.of([Digraph.of([0, 1], []), Digraph.of([0, 1], [(0, 1)])])
-    grid = feature_grid(f, 1)
+    grid = feature_grid(StageComplexes(f, 2), 1)
     assert grid.cells[(1, 1)].nullity == 2
     assert grid.cells[(2, 2)].nullity == 1

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from oracles import (
     _gauss_jordan_solve,
     dense,
+    is_subspace,
     oracle_column_space_basis,
     oracle_dense_rref,
     oracle_kernel_basis,
@@ -170,7 +171,7 @@ def test_preimage_full_codomain_is_full_domain():
 
 
 def test_preimage_of_zero_map_is_full_domain():
-    m = QMatrix.zeros(2, 3)
+    m = QMatrix(2, 3)
     target = QMatrix.from_rows([[1], [0]])
     assert qa.preimage_basis(m, target).cols == 3
 
@@ -182,7 +183,7 @@ def test_preimage_two_edge_chain():
     target = QMatrix.from_rows([[1, 0], [0, 1], [0, 0]])
     pre = qa.preimage_basis(b1, target)
     assert pre.cols == 1
-    assert qa.is_subspace(b1 @ pre, target)
+    assert is_subspace(b1 @ pre, target)
 
 
 def test_preimage_membership_property():
@@ -192,7 +193,7 @@ def test_preimage_membership_property():
         t = random_qmatrix(rng, m.rows, rng.randint(0, 3))
         pre = qa.preimage_basis(m, t)
         if pre.cols:
-            assert qa.is_subspace(m @ pre, t)
+            assert is_subspace(m @ pre, t)
         # everything outside the preimage must genuinely escape
         full = qa.preimage_basis(m, QMatrix.identity(m.rows))
         assert full.cols == m.cols
@@ -209,8 +210,8 @@ def test_intersection_and_sum_dimensions():
         # modular law of dimensions
         assert qa.rank(a) + qa.rank(b) == qa.rank(union) + qa.rank(inter)
         if inter.cols:
-            assert qa.is_subspace(inter, a)
-            assert qa.is_subspace(inter, b)
+            assert is_subspace(inter, a)
+            assert is_subspace(inter, b)
 
 
 def test_column_space_basis_spans():
@@ -221,10 +222,10 @@ def test_column_space_basis_spans():
 
 
 def test_empty_shapes():
-    assert qa.rank(QMatrix.zeros(0, 4)) == 0
-    assert qa.kernel_basis(QMatrix.zeros(0, 4)).cols == 4
-    assert qa.kernel_basis(QMatrix.zeros(4, 0)).cols == 0
-    assert qa.column_space_basis(QMatrix.zeros(4, 0)).cols == 0
+    assert qa.rank(QMatrix(0, 4)) == 0
+    assert qa.kernel_basis(QMatrix(0, 4)).cols == 4
+    assert qa.kernel_basis(QMatrix(4, 0)).cols == 0
+    assert qa.column_space_basis(QMatrix(4, 0)).cols == 0
 
 
 def test_matmul_and_transpose_agree_with_numpy():
