@@ -10,6 +10,7 @@ Exit codes: 0 ok, 1 usage, 2 parse error, 3 resource cap, 4 identity violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from pathlib import Path
@@ -76,6 +77,7 @@ def _out_dir(text: str) -> Path:
     return path
 
 
+@functools.cache  # built once per process: every option default is only read
 def build_parser() -> CliParser:
     parser = CliParser(prog="pathdirac", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

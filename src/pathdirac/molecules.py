@@ -69,7 +69,8 @@ def parse_xyz(text: str, path: str | None = None) -> Molecule:
     """XYZ file with an optional `BOND i j` trailer (0-based atom indices).
 
     Without BOND lines, bonds are inferred from covalent radii: a pair is
-    bonded when its distance is at most 1.2x the radius sum.
+    bonded when its distance is at most 1.2x the radius sum. Bonded atoms at
+    one position are a parse error, declared or inferred.
     """
     lines = text.splitlines()
     if not lines:
@@ -120,7 +121,11 @@ def parse_xyz(text: str, path: str | None = None) -> Molecule:
     atoms = tuple(atoms)
     if not saw_bond_line:
         bonds = infer_bonds(atoms)
-    return Molecule(atoms, tuple(sorted(bonds)))
+    bonds = tuple(sorted(bonds))
+    for i, j in bonds:  # a bond's distance is its edge weight, which must be positive
+        if math.dist(atoms[i].position, atoms[j].position) == 0:
+            raise ParseError(f"atoms on rows {i + 3} and {j + 3} are bonded at distance 0", path)
+    return Molecule(atoms, bonds)
 
 
 def infer_bonds(atoms: tuple[Atom, ...]) -> set[tuple[int, int]]:

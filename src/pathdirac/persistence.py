@@ -135,8 +135,13 @@ def auxiliary_complex(stages: StageComplexes, a: int, b: int) -> AuxiliaryComple
         # of the rows of omega_{k-1}(b) at those paths, times ∂_k(b).
         d_k, prev, kept = cb.degrees[k], cb.degrees[k - 1], set(ca.degrees[k - 1].paths)
         rows = [row for path, row in zip(prev.paths, prev.omega.data) if path not in kept]
-        leave = QMatrix(len(rows), prev.omega.cols, rows)
-        c_bases.append(qa.preimage_basis(leave @ d_k.boundary, QMatrix(leave.rows, 0)))
+        leave = QMatrix(len(rows), prev.omega.cols, rows) @ d_k.boundary
+        if degrees[k - 1] is prev and leave.is_zero():
+            # C_{k-1} is Ω_{k-1}(b) and no boundary leaves stage a, so C_k is Ω_k(b)
+            c_bases.append(QMatrix.identity(d_k.omega.cols))
+            degrees.append(d_k)
+            continue
+        c_bases.append(qa.preimage_basis(leave, QMatrix(leave.rows, 0)))
         boundary = qa.solve(c_bases[k - 1], d_k.boundary @ c_bases[k])
         degrees.append(degree_data(d_k.paths, d_k.omega @ c_bases[k], boundary,
                                    d_k.allowed_block, degrees[k - 1]))

@@ -196,10 +196,18 @@ def column_space_basis(m: QMatrix) -> QMatrix:
 
 
 def _coefficients_into(a: QMatrix, b: QMatrix) -> QMatrix:
-    """Columns spanning {x : A x in span(b)}: the x-part of ker([A | -b])."""
-    neg = QMatrix(b.rows, b.cols, [{j: -x for j, x in row.items()} for row in b.data])
-    k = kernel_basis(hstack(a, neg))
-    return QMatrix(a.cols, k.cols, k.data[: a.cols])
+    """Columns spanning {x : A x in span(b)}: the x-part of ker([A | -b]).
+
+    The columns of [A | -b] are eliminated in descending order, so each kernel
+    column's first nonzero is a 1 at its own free column. The nonzero x-parts
+    are then already the reduced column echelon basis of the span, which
+    leaves `column_space_basis` no fill-in to do.
+    """
+    n = a.cols + b.cols
+    flipped = [{n - 1 - j: x for j, x in ra.items()} | {b.cols - 1 - j: -x for j, x in rb.items()}
+               for ra, rb in zip(a.data, b.data)]
+    k = kernel_basis(QMatrix(a.rows, n, flipped))
+    return QMatrix(a.cols, k.cols, k.data[::-1][: a.cols])
 
 
 def preimage_basis(m: QMatrix, target: QMatrix) -> QMatrix:

@@ -113,6 +113,34 @@ def test_molecule_bad_thresholds_exit_code(tmp_path, capsys):
     assert code == 4  # structural violation of the threshold contract
 
 
+def test_molecule_zero_length_bond_is_parse_error(tmp_path, capsys):
+    xyz = tmp_path / "dup.xyz"
+    xyz.write_text("2\ndup\nC 0 0 0\nC 0 0 0\n", encoding="utf-8")
+    assert main(["molecule", str(xyz), "--thresholds", "1", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {xyz}: atoms on rows 3 and 4 are bonded at distance 0" in err
+
+
+def test_second_command_sees_option_defaults(tmp_path):
+    """The parser is built once per process; options given to one command must
+    not become the defaults of the next."""
+    (tmp_path / "s1.txt").write_text("0 1\n", encoding="utf-8")
+    manifest = tmp_path / "filt.txt"
+    manifest.write_text("s1.txt\n", encoding="utf-8")
+    xyz = tmp_path / "water.xyz"
+    xyz.write_text(WATER, encoding="utf-8")
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["persist", str(manifest), "--annotate", "--features", "min_pos",
+                 "--out", str(first)]) == 0
+    cell_label = 'font-size="9"'  # only annotated heatmap cells carry one
+    assert cell_label in (first / "filt.min_pos.svg").read_text()
+    assert main(["molecule", str(xyz), "--thresholds", "1", "--out", str(second)]) == 0
+    assert (second / "water.grid.csv").read_text().splitlines()[0] == "n,m,nullity,mean_pos,gen_mean"
+    svgs = sorted(p.name for p in second.glob("*.svg"))
+    assert svgs == ["water.gen_mean.svg", "water.mean_pos.svg", "water.nullity.svg"]
+    assert all(cell_label not in (second / name).read_text() for name in svgs)
+
+
 def test_check_command_passes(cyclic_file, capsys):
     assert main(["check", str(cyclic_file)]) == 0
     out = capsys.readouterr().out

@@ -72,6 +72,14 @@ def test_parse_self_bond_rejected():
         parse_xyz("2\ntwo\nH 0 0 0\nH 1 0 0\nBOND 0 0\n")
 
 
+@pytest.mark.parametrize("trailer", ["", "BOND 2 1\n"], ids=["inferred", "declared"])
+def test_parse_zero_length_bond_names_file_and_rows(trailer):
+    """A bond's length is its edge weight, so coincident bonded atoms are bad input."""
+    text = "3\ndup\nO 0 0 5\nC 0 0 0\nC 0 0 0\n" + trailer
+    with pytest.raises(ParseError, match=r"^dup\.xyz: atoms on rows 4 and 5 are bonded at distance 0$"):
+        parse_xyz(text, "dup.xyz")
+
+
 def test_parse_malformed_lines():
     with pytest.raises(ParseError):
         parse_xyz("")

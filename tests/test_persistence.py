@@ -30,6 +30,7 @@ from pathdirac import (
     persistent_laplacian,
     verify_dirac_square,
 )
+from pathdirac import persistence
 from pathdirac import rational as qa
 from pathdirac.checks import pair_beta0
 from pathdirac.errors import StructuralError
@@ -172,6 +173,55 @@ def test_auxiliary_complex_matches_preimage_route_growing(hyper):
 
 def test_auxiliary_complex_matches_preimage_route_on_molecule(molecule_stage_complexes):
     assert assert_matches_preimage_route(molecule_stage_complexes) == 28
+
+
+def test_molecule_pairs_share_stage_b_degrees(molecule_stage_complexes):
+    """Every stage holds all atoms, so degree 1 of each pair is stage b's own
+    degree, and on a = b every degree is."""
+    stages = molecule_stage_complexes
+    for a in range(1, len(stages) + 1):
+        for b in range(a, len(stages) + 1):
+            aux, cb = auxiliary_complex(stages, a, b), stages.stage(b)
+            assert aux.degrees[1] is cb.degrees[1]
+            if a == b:
+                assert all(d is e for d, e in zip(aux.degrees, cb.degrees, strict=True))
+
+
+def incident_vertex_enters(stages: StageComplexes, a: int, b: int) -> bool:
+    """Some edge of stage b touches a vertex that stage a lacks."""
+    new = {v for (v,) in stages.stage(b).degrees[0].paths} - {
+        v for (v,) in stages.stage(a).degrees[0].paths}
+    return any(new.intersection(edge) for edge in stages.stage(b).degrees[1].paths)
+
+
+@pytest.mark.parametrize("hyper", [False, True], ids=["digraph", "hypergraph"])
+def test_degree1_rebuilt_where_an_incident_vertex_enters(hyper):
+    rng = random.Random(6006 + hyper)
+    rebuilt = 0
+    for _ in range(60):
+        stages = StageComplexes(growing_filtration(rng, hyper), 2)
+        pairs = [(a, b) for b in range(1, len(stages) + 1) for a in range(1, b + 1)]
+        entering = [pair for pair in pairs if incident_vertex_enters(stages, *pair)]
+        for a, b in pairs:
+            shared = auxiliary_complex(stages, a, b).degrees[1] is stages.stage(b).degrees[1]
+            assert shared == ((a, b) not in entering)
+        if entering:
+            assert_matches_preimage_route(stages)
+            rebuilt += len(entering)
+    assert rebuilt >= 60
+
+
+def test_molecule_grid_builds_each_off_diagonal_degree2_once(molecule_stage_complexes, monkeypatch):
+    """Degree 1 and every diagonal pair are reused, so only the 21 off-diagonal
+    degree-2 bases are built."""
+    calls = []
+    real = persistence.degree_data
+    monkeypatch.setattr(persistence, "degree_data",
+                        lambda *args: calls.append(args[0]) or real(*args))
+    feature_grid(molecule_stage_complexes, 1)
+    assert len(calls) == 21
+    assert all(any(paths is c.degrees[2].paths for c in molecule_stage_complexes.complexes)
+               for paths in calls)
 
 
 def closed_form_beta0(g_a, g_b) -> int:

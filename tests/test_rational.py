@@ -325,6 +325,23 @@ def test_preimage_basis_matches_oracles(data):
 
 
 @SETTINGS
+@given(st.data())
+def test_intersection_basis_matches_sympy(data):
+    rows = data.draw(st.integers(1, 5))
+    a = data.draw(matrices(rows=rows, cols=data.draw(st.integers(1, 5))))
+    b = data.draw(matrices(rows=rows, cols=data.draw(st.integers(1, 5))))
+    inter = qa.intersection_basis(a, b)
+    assert_stored_form(inter)
+    u, v = to_sympy(a), to_sympy(b)
+    null = sympy.Matrix.hstack(u, -v).nullspace()
+    if null:
+        expected = sympy_echelon_columns(sympy.Matrix.hstack(*[u * w[: a.cols, :] for w in null]))
+    else:
+        expected = sympy.zeros(rows, 0)
+    assert to_sympy(inter) == expected
+
+
+@SETTINGS
 @given(matrices(), st.sampled_from([qa.kernel_basis, qa.column_space_basis]), st.data())
 def test_solve_matches_oracles(m, echelon, data):
     a = echelon(m)
