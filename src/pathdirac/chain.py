@@ -80,6 +80,7 @@ class DegreeData:
     allowed_block: np.ndarray  # boundary into path coordinates of degree k-1
     ortho: np.ndarray  # orthonormal basis, path coordinates
     boundary_ortho: np.ndarray  # boundary in orthonormal bases
+    image: QMatrix | None = None  # stage complexes only: allowed @ omega, rows at paths of k-1
 
 
 class ExactComplex:
@@ -128,15 +129,16 @@ class ExactComplex:
 class ChainComplex(ExactComplex):
     """Per-degree invariant subspaces with exact and orthonormal boundary data.
 
-    The only place ∂∂ = 0 is asserted: every stage and auxiliary complex is
-    built through here, so a nonzero composition never reaches an operator.
+    The only place ∂∂ = 0 is asserted: every stage complex is built through
+    here, so a nonzero composition never reaches an operator. The auxiliary
+    complex, whose ∂∂ = 0 follows from stage b's, passes `composition_checked`.
     """
 
-    def __init__(self, degrees: list[DegreeData]):
+    def __init__(self, degrees: list[DegreeData], composition_checked: bool = False):
         super().__init__([d.boundary for d in degrees])
         self.degrees = degrees
         for k in range(2, len(degrees)):
-            if not (self.boundaries[k - 1] @ self.boundaries[k]).is_zero():
+            if not composition_checked and not (self.boundaries[k - 1] @ self.boundaries[k]).is_zero():
                 raise StructuralError(f"boundary composition at degree {k} is nonzero")
 
 
@@ -199,16 +201,19 @@ def build_complex(paths_per_degree: list[list[Path]]) -> ChainComplex:
         omega = qa.kernel_basis(disallowed)
         prev = degrees[k - 1]
         # boundary of each basis vector, re-expressed in the previous degree's basis
-        boundary = qa.solve(prev.omega, allowed @ omega)
-        degrees.append(degree_data(paths_k, omega, boundary, allowed.to_float(), prev))
+        # (degree 0's basis is the identity, so there the image is the boundary)
+        image = allowed @ omega
+        boundary = image if k == 1 else qa.solve(prev.omega, image)
+        degrees.append(degree_data(paths_k, omega, boundary, allowed.to_float(), prev, image))
     return ChainComplex(degrees)
 
 
-def degree_data(paths: list[Path], omega: QMatrix, boundary: QMatrix,
-                allowed: np.ndarray, prev: DegreeData) -> DegreeData:
+def degree_data(paths: list[Path], omega: QMatrix, boundary: QMatrix, allowed: np.ndarray,
+                prev: DegreeData, image: QMatrix | None = None) -> DegreeData:
     """One degree k >= 1 from its exact basis and boundary and the float allowed block."""
     ortho = orthonormal_basis(omega)
-    return DegreeData(paths, omega, boundary, allowed, ortho, prev.ortho.T @ (allowed @ ortho))
+    return DegreeData(paths, omega, boundary, allowed, ortho, prev.ortho.T @ (allowed @ ortho),
+                      image)
 
 
 def build_digraph_complex(g: Digraph, p_top: int, cap: int = DEFAULT_PATH_CAP) -> ChainComplex:

@@ -147,11 +147,13 @@ def eigen_spectrum(matrix: np.ndarray, exact_nullity: int,
     n = matrix.shape[0]
     if n == 0:
         return Spectrum(np.zeros(0), zero_tol, exact_nullity=0)
-    asym = np.max(np.abs(matrix - matrix.T))
-    if asym > 1e-10:
-        raise NumericalInconsistencyError(f"matrix is not symmetric (defect {asym:.3e})")
+    if not np.array_equal(matrix, matrix.T):  # an exactly symmetric M is (M + Mᵀ)/2 bit for bit
+        asym = np.max(np.abs(matrix - matrix.T))
+        if asym > 1e-10:
+            raise NumericalInconsistencyError(f"matrix is not symmetric (defect {asym:.3e})")
+        matrix = (matrix + matrix.T) / 2.0
     try:
-        values = np.sort(np.linalg.eigvalsh((matrix + matrix.T) / 2.0))
+        values = np.sort(np.linalg.eigvalsh(matrix))
     except np.linalg.LinAlgError as exc:
         raise NumericalInconsistencyError(
             f"eigvalsh failed on the {n}x{n} operator: {exc}") from None
@@ -253,10 +255,9 @@ def verify_dirac_square(c: ChainComplex, p: int,
 
 
 def float_rank(matrix: np.ndarray) -> int:
-    """Numerical rank via SVD at a relative tolerance of 1e-8 (dual check for exact ranks)."""
+    """Numerical rank via SVD (dual check for exact ranks) at 1e-8 * max(1, σ_max),
+    scaled like `eigen_spectrum`'s zero class, so pure rounding noise has rank 0."""
     if matrix.size == 0:
         return 0
     s = np.linalg.svd(matrix, compute_uv=False)
-    if len(s) == 0 or s[0] == 0:
-        return 0
-    return int(np.sum(s > 1e-8 * s[0]))
+    return int(np.sum(s > 1e-8 * max(1.0, s[0])))

@@ -105,11 +105,13 @@ class AuxiliaryComplex(ChainComplex):
 
     Degree k holds the stage-b vectors whose boundary lies in the stage-a
     space; its Betti numbers and Dirac operator are those of any complex.
+    ∂∂ = 0 is implied, not re-checked: c_{k-2} X_{k-1} X_k = ∂∂ c_k = 0 for the
+    bases c and the exact boundaries X, and c_{k-2} has full column rank.
     """
 
     def __init__(self, a: int, b: int, stage_a: ChainComplex, stage_b: ChainComplex,
                  c_bases: list[QMatrix], degrees: list[DegreeData]):
-        super().__init__(degrees)
+        super().__init__(degrees, composition_checked=True)
         self.a, self.b = a, b
         self.stage_a, self.stage_b = stage_a, stage_b
         self.c_bases = c_bases  # auxiliary space bases in the stage-b basis
@@ -132,17 +134,19 @@ def auxiliary_complex(stages: StageComplexes, a: int, b: int) -> AuxiliaryComple
     for k in range(1, stages.p_top + 1):
         # ∂x of x in Ω_k(b) is a cycle, so it lies in Ω_{k-1}(a) exactly when it
         # vanishes on the (k-1)-paths of b that are not paths of a: C_k is the kernel
-        # of the rows of omega_{k-1}(b) at those paths, times ∂_k(b).
+        # of the rows of stage b's image (∂_k(b) in path coordinates) at those paths.
         d_k, prev, kept = cb.degrees[k], cb.degrees[k - 1], set(ca.degrees[k - 1].paths)
-        rows = [row for path, row in zip(prev.paths, prev.omega.data) if path not in kept]
-        leave = QMatrix(len(rows), prev.omega.cols, rows) @ d_k.boundary
+        rows = [row for path, row in zip(prev.paths, d_k.image.data) if path not in kept]
+        leave = QMatrix(len(rows), d_k.omega.cols, rows)
         if degrees[k - 1] is prev and leave.is_zero():
             # C_{k-1} is Ω_{k-1}(b) and no boundary leaves stage a, so C_k is Ω_k(b)
             c_bases.append(QMatrix.identity(d_k.omega.cols))
             degrees.append(d_k)
             continue
         c_bases.append(qa.preimage_basis(leave, QMatrix(leave.rows, 0)))
-        boundary = qa.solve(c_bases[k - 1], d_k.boundary @ c_bases[k])
+        boundary = d_k.boundary @ c_bases[k]
+        if degrees[k - 1] is not prev:  # else c_{k-1} is the identity
+            boundary = qa.solve(c_bases[k - 1], boundary)
         degrees.append(degree_data(d_k.paths, d_k.omega @ c_bases[k], boundary,
                                    d_k.allowed_block, degrees[k - 1]))
     return AuxiliaryComplex(a, b, ca, cb, c_bases, degrees)

@@ -280,6 +280,20 @@ def test_check_filtration_growing_vertex_set(tmp_path, capsys, kind, stages, det
     assert detail in out.splitlines() and "FAIL" not in out
 
 
+def test_check_filtration_noise_block_has_float_rank_zero(tmp_path, capsys):
+    # the auxiliary degree-1 basis is (0,3)+(3,0); its QR column is not exactly
+    # symmetric, so its boundary block holds only ±2.2e-16 rounding noise
+    stages = ["# vertices: 0\n", "# vertices: 0 1 2 3\n3 0\n", "# vertices: 0 1 2 3\n3 0\n0 3\n"]
+    for i, text in enumerate(stages, start=1):
+        (tmp_path / f"s{i}.txt").write_text(text, encoding="utf-8")
+    manifest = tmp_path / "m.txt"
+    manifest.write_text("s1.txt\ns2.txt\ns3.txt\n", encoding="utf-8")
+    assert main(["check", str(manifest), "--kind", "filtration"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "PASS persistent-nullity(1,3): exact 5, zeros 5, float 5" in out
+    assert not any(line.startswith("FAIL") for line in out)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -151,6 +151,38 @@ def test_zero_tol_inside_the_window_changes_no_result(case):
 def test_eigen_spectrum_rejects_asymmetric():
     with pytest.raises(NumericalInconsistencyError):
         eigen_spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]), exact_nullity=0)
+    m = CIRCULANT.copy()
+    m[0, 1] += 2e-10  # just above the 1e-10 bound
+    with pytest.raises(NumericalInconsistencyError, match="not symmetric"):
+        eigen_spectrum(m, exact_nullity=1)
+
+
+def test_eigen_spectrum_symmetric_input_matches_symmetrised(digraph_complexes):
+    """An exactly symmetric M goes to eigvalsh as is; (M + Mᵀ)/2 is M bit for bit."""
+    for _, c in digraph_complexes[:60]:
+        for p in range(c.p_top):
+            d = dirac(c, p)
+            m = d.matrix
+            assert np.array_equal(m, m.T)
+            expect = np.sort(np.linalg.eigvalsh((m + m.T) / 2.0))
+            assert eigen_spectrum(m, d.exact_nullity).values.tobytes() == expect.tobytes()
+
+
+def test_eigen_spectrum_symmetrises_a_small_asymmetry():
+    m = CIRCULANT.copy()
+    m[0, 1] += 1e-12
+    spec = eigen_spectrum(m, exact_nullity=1)
+    assert spec.values.tobytes() == np.sort(np.linalg.eigvalsh((m + m.T) / 2.0)).tobytes()
+    np.testing.assert_allclose(spec.values, [0.0, 3.0, 3.0], atol=1e-9)
+
+
+def test_float_rank_of_rounding_noise_is_zero():
+    """The tolerance never falls below 1e-8: a block of ±2.2e-16 entries has rank 0,
+    while singular values down to 1e-7 still count, whatever the largest one is."""
+    assert float_rank(np.array([[2.2e-16, -2.2e-16], [0.0, 2.2e-16]])) == 0
+    assert float_rank(np.zeros((2, 3))) == 0
+    assert float_rank(np.diag([1e-3, 1e-7, 1e-9])) == 2
+    assert float_rank(np.diag([1e3, 1e-4, 1e-6])) == 2
 
 
 def test_eigen_spectrum_empty():

@@ -1,10 +1,15 @@
 """Filtrations, auxiliary complexes, and persistent operators."""
 
+import contextlib
 import copy
+import io
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     _gauss_jordan_solve,
@@ -32,7 +37,9 @@ from pathdirac import (
 )
 from pathdirac import persistence
 from pathdirac import rational as qa
+from pathdirac.chain import split_boundary
 from pathdirac.checks import pair_beta0
+from pathdirac.cli import main
 from pathdirac.errors import StructuralError
 
 CYCLIC = Digraph.of([0, 1, 2], [(0, 1), (1, 2), (2, 0)])
@@ -141,10 +148,23 @@ def growing_filtration(rng: random.Random, hyper: bool) -> Filtration:
     )
 
 
+def assert_stage_images(stages: StageComplexes) -> None:
+    """Each stage degree k >= 1 stores its image, the exact boundary in path
+    coordinates: the allowed block times omega, and omega_{k-1} times the boundary."""
+    for c in stages.complexes:
+        for prev, d in zip(c.degrees, c.degrees[1:]):
+            allowed, _, _ = split_boundary(d.paths, prev.paths)
+            assert d.image == allowed @ d.omega
+            assert d.image == prev.omega @ d.boundary
+
+
 def assert_matches_preimage_route(stages: StageComplexes) -> int:
     """Every pair's bases and exact boundaries equal the preimage route's, each
-    closed-form boundary rank equals the sympy rank of that route's boundary, and
-    stage a's space lies in the auxiliary space at every degree."""
+    closed-form boundary rank equals the sympy rank of that route's boundary,
+    every composition of auxiliary boundaries is zero (the complex does not
+    check it when built), and stage a's space lies in the auxiliary space at
+    every degree."""
+    assert_stage_images(stages)
     n = len(stages)
     for a in range(1, n + 1):
         for b in range(a, n + 1):
@@ -154,6 +174,8 @@ def assert_matches_preimage_route(stages: StageComplexes) -> int:
             assert aux.boundaries == boundaries
             for k in range(1, aux.p_top + 1):
                 assert aux.boundary_rank(k) == sympy_rank(boundaries[k])
+            for k in range(2, aux.p_top + 1):
+                assert (aux.boundaries[k - 1] @ aux.boundaries[k]).is_zero()
             for k, stage_a in enumerate(oracle_a_in_b(stages, a, b)):
                 assert is_subspace(stage_a, aux.c_bases[k])
     return n * (n + 1) // 2
@@ -173,6 +195,35 @@ def test_auxiliary_complex_matches_preimage_route_growing(hyper):
 
 def test_auxiliary_complex_matches_preimage_route_on_molecule(molecule_stage_complexes):
     assert assert_matches_preimage_route(molecule_stage_complexes) == 28
+
+
+def write_stage_list(directory, f: Filtration) -> Path:
+    """A stage-list manifest of f: one file per stage, every vertex declared."""
+    hyper = isinstance(f.stages[0], Hypergraph)
+    names = []
+    for i, stage in enumerate(f.stages, start=1):
+        links = stage.hyperedges if hyper else stage.edges
+        lines = ["# vertices: " + " ".join(map(str, stage.vertices))]
+        lines += [" ".join(map(str, link)) for link in links]
+        (directory / f"s{i}.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        names.append(f"s{i}.txt")
+    manifest = directory / "m.txt"
+    kind = "hypergraph" if hyper else "digraph"
+    manifest.write_text(f"# kind: {kind}\n" + "\n".join(names) + "\n", encoding="utf-8")
+    return manifest
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from(["0", "1"]))
+def test_growing_manifests_pass_every_filtration_check(tmp_path_factory, seed, hyper, p):
+    """Valid manifests, growing vertex sets included, pass every check line and exit 0."""
+    f = growing_filtration(random.Random(seed), hyper)
+    manifest = write_stage_list(tmp_path_factory.mktemp("growing"), f)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["check", str(manifest), "--kind", "filtration", "--p", p]) == 0
+    lines = out.getvalue().splitlines()
+    assert lines and all(line.startswith("PASS ") for line in lines[:-1]), lines
 
 
 def test_molecule_pairs_share_stage_b_degrees(molecule_stage_complexes):
@@ -417,14 +468,19 @@ def test_feature_grid_jobs_deterministic():
 
 def test_grid_leaves_shared_stage_data_unchanged(molecule_stage_complexes):
     """Every pair, in pool threads too, reads the same stage matrices, so
-    neither auxiliary_complex nor the grid may write into their row dicts."""
-    stages = molecule_stage_complexes
-    shared = [m for c in stages.complexes for d in c.degrees for m in (d.omega, d.boundary)]
-    before = copy.deepcopy(shared)
-    auxiliary_complex(stages, 1, len(stages))
-    feature_grid(stages, 1, jobs=3)
-    assert shared == before
-    assert [m.to_rows() for m in shared] == [m.to_rows() for m in before]
+    neither auxiliary_complex nor the grid may write into their row dicts.
+    The leave rows of a pair are stage b's own image rows."""
+    rng = random.Random(8008)
+    corpus = [molecule_stage_complexes] + [StageComplexes(growing_filtration(rng, hyper), 2)
+                                           for hyper in (False, True) for _ in range(20)]
+    for stages in corpus:
+        shared = [m for c in stages.complexes for d in c.degrees
+                  for m in (d.omega, d.boundary, d.image) if m is not None]
+        before = copy.deepcopy(shared)
+        auxiliary_complex(stages, 1, len(stages))
+        feature_grid(stages, 1, jobs=3)
+        assert shared == before
+        assert [m.to_rows() for m in shared] == [m.to_rows() for m in before]
 
 
 def test_feature_grid_ranks_only_stage_boundaries(monkeypatch):
