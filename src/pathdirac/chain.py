@@ -47,7 +47,7 @@ def boundary_of_path(path: Path) -> dict[Path, int]:
 
 
 def split_boundary(
-    paths_k: list[Path], paths_km1: list[Path]
+    paths_k: list[Path], paths_km1: list[Path], boundary_of=boundary_of_path
 ) -> tuple[QMatrix, QMatrix, list[Path]]:
     """Boundary of the degree-k span, split by row membership in the allowed list.
 
@@ -56,7 +56,7 @@ def split_boundary(
     disallowed rows are indexed by elementary sequences outside paths_km1.
     """
     index = {p: i for i, p in enumerate(paths_km1)}
-    cols = [boundary_of_path(p) for p in paths_k]
+    cols = [boundary_of(p) for p in paths_k]
     extra = sorted({sub for col in cols for sub in col if sub not in index})
     extra_index = {p: i for i, p in enumerate(extra)}
     allowed = QMatrix(len(paths_km1), len(paths_k))
@@ -76,7 +76,8 @@ class DegreeData:
 
     paths: list[Path]
     omega: QMatrix  # columns: basis of the invariant subspace, path coordinates
-    boundary: QMatrix  # exact map to the previous degree's omega basis (k >= 1)
+    boundary: QMatrix | None  # exact map to the previous degree's omega basis (k >= 1);
+    # None on an auxiliary degree until AuxiliaryComplex.boundary forms it
     allowed_block: np.ndarray  # boundary into path coordinates of degree k-1
     ortho: np.ndarray  # orthonormal basis, path coordinates
     boundary_ortho: np.ndarray  # boundary in orthonormal bases
@@ -95,6 +96,9 @@ class ExactComplex:
         self.p_top = len(boundaries) - 1
         self._ranks: dict[int, int] = {}
 
+    def boundary(self, k: int) -> QMatrix:
+        return self.boundaries[k]
+
     def dim(self, k: int) -> int:
         if 0 <= k <= self.p_top:
             return self.boundaries[k].cols
@@ -109,7 +113,7 @@ class ExactComplex:
         if not 1 <= k <= self.p_top:
             return 0
         if k not in self._ranks:
-            self._ranks[k] = qa.rank(self.boundaries[k])
+            self._ranks[k] = qa.rank(self.boundary(k))
         return self._ranks[k]
 
     def betti(self, k: int) -> int:
@@ -153,8 +157,8 @@ def orthonormal_basis(basis: QMatrix) -> np.ndarray:
     if basis.cols == 0:
         return np.zeros((basis.rows, 0))
     # each column is the 1 of exactly one row {j: 1}, and there are no other nonzeros
-    ones = sorted(j for row in basis.data if len(row) == 1 for j, x in row.items() if x == 1)
-    if ones == list(range(basis.cols)) and sum(map(len, basis.data)) == basis.cols:
+    ones = (j for row in basis.data if len(row) == 1 for j, x in row.items() if x == 1)
+    if sum(map(len, basis.data)) == basis.cols and sorted(ones) == list(range(basis.cols)):
         return basis.to_float()
     w = basis.to_float()
     q, r = np.linalg.qr(w)
@@ -165,14 +169,14 @@ def orthonormal_basis(basis: QMatrix) -> np.ndarray:
     return q
 
 
-def build_complex(paths_per_degree: list[list[Path]]) -> ChainComplex:
+def build_complex(paths_per_degree: list[list[Path]], boundary_of=boundary_of_path) -> ChainComplex:
     """Invariant subspaces and boundaries from per-degree anchor path lists.
 
     Degree k basis: exact kernel of the disallowed block of the boundary
     (vectors whose boundary stays inside the allowed degree-(k-1) span);
     degree 0 is the full vertex span. The exact boundary is re-expressed in
     the previous degree's basis, which is always solvable because a boundary
-    of an invariant vector is itself invariant.
+    of an invariant vector is itself invariant. `boundary_of` may be a cache.
     """
     for k in range(1, len(paths_per_degree)):
         prev = set(paths_per_degree[k - 1])
@@ -197,12 +201,13 @@ def build_complex(paths_per_degree: list[list[Path]]) -> ChainComplex:
     for k in range(1, len(paths_per_degree)):
         paths_k = paths_per_degree[k]
         paths_km1 = paths_per_degree[k - 1]
-        allowed, disallowed, _ = split_boundary(paths_k, paths_km1)
-        omega = qa.kernel_basis(disallowed)
+        allowed, disallowed, _ = split_boundary(paths_k, paths_km1, boundary_of)
+        # with no disallowed row (degree 1 of a digraph) omega is the identity
+        omega = qa.kernel_basis(disallowed) if disallowed.rows else QMatrix.identity(len(paths_k))
+        image = allowed @ omega if disallowed.rows else allowed
         prev = degrees[k - 1]
         # boundary of each basis vector, re-expressed in the previous degree's basis
         # (degree 0's basis is the identity, so there the image is the boundary)
-        image = allowed @ omega
         boundary = image if k == 1 else qa.solve(prev.omega, image)
         degrees.append(degree_data(paths_k, omega, boundary, allowed.to_float(), prev, image))
     return ChainComplex(degrees)
@@ -216,13 +221,15 @@ def degree_data(paths: list[Path], omega: QMatrix, boundary: QMatrix, allowed: n
                       image)
 
 
-def build_digraph_complex(g: Digraph, p_top: int, cap: int = DEFAULT_PATH_CAP) -> ChainComplex:
-    return build_complex(anchor_path_table(g, p_top, cap))
+def build_digraph_complex(g: Digraph, p_top: int, cap: int = DEFAULT_PATH_CAP,
+                          boundary_of=boundary_of_path) -> ChainComplex:
+    return build_complex(anchor_path_table(g, p_top, cap), boundary_of)
 
 
-def build_hypergraph_complex(h: Hypergraph, p_top: int, cap: int = DEFAULT_PATH_CAP) -> ChainComplex:
+def build_hypergraph_complex(h: Hypergraph, p_top: int, cap: int = DEFAULT_PATH_CAP,
+                             boundary_of=boundary_of_path) -> ChainComplex:
     """The digraph complex of the symmetric closure of the essential graph."""
-    return build_digraph_complex(symmetric_closure(essential_graph(h)), p_top, cap)
+    return build_digraph_complex(symmetric_closure(essential_graph(h)), p_top, cap, boundary_of)
 
 
 def omega2_generators_fast(g: Digraph, paths2: list[Path]) -> QMatrix:

@@ -65,6 +65,16 @@ def _int_at_least(minimum: int):
     return parse
 
 
+class _Distinct(argparse.Action):
+    """argparse action: a list option whose values may not repeat (a usage error otherwise)."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        repeated = sorted({v for v in values if values.count(v) > 1})
+        if repeated:
+            parser.error(f"argument {option_string}: repeated {', '.join(repeated)}")
+        setattr(namespace, self.dest, values)
+
+
 def _out_dir(text: str) -> Path:
     """argparse type: a directory to write into, or one to create (a usage error otherwise)."""
     path = Path(text)
@@ -108,7 +118,7 @@ def build_parser() -> CliParser:
 
     def grid(p):
         p.add_argument("--features", nargs="+", default=list(DEFAULT_FEATURES),
-                       choices=FeatureSet.FIELDS, metavar="FEATURE",
+                       choices=FeatureSet.FIELDS, metavar="FEATURE", action=_Distinct,
                        help=f"from {', '.join(FeatureSet.FIELDS)}")
         p.add_argument("--jobs", type=_int_at_least(1), default=1)
         p.add_argument("--annotate", action="store_true", help="write values into heatmap cells")

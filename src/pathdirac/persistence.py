@@ -9,6 +9,7 @@ case.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -17,6 +18,7 @@ from . import rational as qa
 from .chain import (
     ChainComplex,
     DegreeData,
+    boundary_of_path,
     build_digraph_complex,
     build_hypergraph_complex,
     degree_data,
@@ -78,7 +80,8 @@ class Filtration:
 
 
 class StageComplexes:
-    """Per-stage chain complexes of a filtration, built once and shared."""
+    """Per-stage chain complexes of a filtration, built once and shared; each
+    path's boundary is formed once for all the stages that hold the path."""
 
     def __init__(self, filtration: Filtration, p_top: int, cap: int = DEFAULT_PATH_CAP):
         self.filtration = filtration
@@ -88,7 +91,8 @@ class StageComplexes:
             if isinstance(filtration.stages[0], Digraph)
             else build_hypergraph_complex
         )
-        self.complexes: list[ChainComplex] = [build(s, p_top, cap) for s in filtration.stages]
+        boundary_of = functools.cache(boundary_of_path)  # shared by every stage
+        self.complexes = [build(s, p_top, cap, boundary_of) for s in filtration.stages]
 
     def __len__(self) -> int:
         return len(self.complexes)
@@ -106,7 +110,8 @@ class AuxiliaryComplex(ChainComplex):
     Degree k holds the stage-b vectors whose boundary lies in the stage-a
     space; its Betti numbers and Dirac operator are those of any complex.
     ∂∂ = 0 is implied, not re-checked: c_{k-2} X_{k-1} X_k = ∂∂ c_k = 0 for the
-    bases c and the exact boundaries X, and c_{k-2} has full column rank.
+    bases c and the exact boundaries X, and c_{k-2} has full column rank. Where
+    degree k-1 is stage b's own, X_k = ∂_k(b) c_k is formed on first read only.
     """
 
     def __init__(self, a: int, b: int, stage_a: ChainComplex, stage_b: ChainComplex,
@@ -115,6 +120,15 @@ class AuxiliaryComplex(ChainComplex):
         self.a, self.b = a, b
         self.stage_a, self.stage_b = stage_a, stage_b
         self.c_bases = c_bases  # auxiliary space bases in the stage-b basis
+
+    def dim(self, k: int) -> int:
+        return self.c_bases[k].cols if 0 <= k <= self.p_top else 0
+
+    def boundary(self, k: int) -> QMatrix:
+        if self.boundaries[k] is None:  # threads racing here store the same matrix
+            self.boundaries[k] = self.degrees[k].boundary = (
+                self.stage_b.degrees[k].boundary @ self.c_bases[k])
+        return self.boundaries[k]
 
     def boundary_rank(self, k: int) -> int:
         """dim C_k - dim ker ∂_k(b): every stage-b cycle lies in C_k, so they share a kernel."""
@@ -144,9 +158,9 @@ def auxiliary_complex(stages: StageComplexes, a: int, b: int) -> AuxiliaryComple
             degrees.append(d_k)
             continue
         c_bases.append(qa.preimage_basis(leave, QMatrix(leave.rows, 0)))
-        boundary = d_k.boundary @ c_bases[k]
-        if degrees[k - 1] is not prev:  # else c_{k-1} is the identity
-            boundary = qa.solve(c_bases[k - 1], boundary)
+        # c_{k-1} = I: AuxiliaryComplex.boundary forms ∂_k(b) c_k if read; else solve checks it
+        boundary = (None if degrees[k - 1] is prev
+                    else qa.solve(c_bases[k - 1], d_k.boundary @ c_bases[k]))
         degrees.append(degree_data(d_k.paths, d_k.omega @ c_bases[k], boundary,
                                    d_k.allowed_block, degrees[k - 1]))
     return AuxiliaryComplex(a, b, ca, cb, c_bases, degrees)

@@ -76,6 +76,9 @@ class QMatrix:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         data = []
         for srow in self.data:
+            if len(srow) == 1 and 1 in srow.values():  # a unit row selects a row of other
+                data.append(dict(other.data[next(iter(srow))]))
+                continue
             acc: dict = {}
             for k, s in srow.items():
                 for j, t in other.data[k].items():
@@ -119,27 +122,31 @@ def rref(m: QMatrix) -> tuple[QMatrix, list[int]]:
     order: list[int] = []
     pivots: list[int] = []
     for col in sorted(where):
-        candidates = [i for i in where[col] if not pivoted[i]]
-        if not candidates:
+        sel, best = -1, None
+        for i in where[col]:
+            if not pivoted[i] and (best is None or (len(rows[i]), i) < best):
+                sel, best = i, (len(rows[i]), i)
+        if sel < 0:
             continue
-        sel = min(candidates, key=lambda i: (len(rows[i]), i))
         prow = rows[sel]
         p = prow[col]
         if p != 1:
             inv = -1 if p == -1 else _q(1 / Fraction(p))
             prow = rows[sel] = {j: _q(x * inv) for j, x in prow.items()}
-        for i in [i for i in where[col] if i != sel]:
+        rest = [(j, x, where[j]) for j, x in prow.items() if j != col]
+        for i in where[col]:  # where[col] is not read again, so rows stay in it
+            if i == sel:
+                continue
             row = rows[i]
-            f = row[col]
-            for j, x in prow.items():
+            f = row.pop(col)
+            for j, x, rows_at_j in rest:
                 y = row.get(j, 0) - f * x
                 if y:
-                    if j not in row:
-                        where[j].add(i)
-                    row[j] = _q(y)
+                    rows_at_j.add(i)
+                    row[j] = y if type(y) is int else _q(y)
                 else:
                     del row[j]
-                    where[j].discard(i)
+                    rows_at_j.discard(i)
         pivoted[sel] = True
         order.append(sel)
         pivots.append(col)
@@ -189,25 +196,41 @@ def solve(a: QMatrix, b: QMatrix) -> QMatrix:
     return x
 
 
+def _is_rcef(m: QMatrix) -> bool:
+    """Whether each column's first nonzero is a 1, alone in its row, and these rows ascend."""
+    lead = 0  # columns whose leading 1 is seen; the rest are zero so far
+    for row in m.data:
+        if row and max(row) >= lead:
+            if row != {lead: 1}:
+                return False
+            lead += 1
+    return lead == m.cols
+
+
 def column_space_basis(m: QMatrix) -> QMatrix:
-    """Echelon basis of the column span (reproducible for a given row order)."""
+    """Reduced column echelon basis of the column span (unique for a given row order),
+    so an input already in that form is returned as it is."""
+    if _is_rcef(m):
+        return m
     r, pivots = rref(m.transpose())
     return QMatrix(len(pivots), m.rows, r.data[: len(pivots)]).transpose()
 
 
 def _coefficients_into(a: QMatrix, b: QMatrix) -> QMatrix:
-    """Columns spanning {x : A x in span(b)}: the x-part of ker([A | -b]).
+    """Columns spanning {x : A x in span(b)}, in reduced column echelon form.
 
     The columns of [A | -b] are eliminated in descending order, so each kernel
-    column's first nonzero is a 1 at its own free column. The nonzero x-parts
-    are then already the reduced column echelon basis of the span, which
-    leaves `column_space_basis` no fill-in to do.
+    vector's first nonzero is a 1 at its own free column, where no other is
+    nonzero. Those at a free column of A, ascending, restricted to x, are the
+    form; those at a free column of -b have a zero x-part and are dropped.
     """
     n = a.cols + b.cols
     flipped = [{n - 1 - j: x for j, x in ra.items()} | {b.cols - 1 - j: -x for j, x in rb.items()}
                for ra, rb in zip(a.data, b.data)]
     k = kernel_basis(QMatrix(a.rows, n, flipped))
-    return QMatrix(a.cols, k.cols, k.data[::-1][: a.cols])
+    last = k.cols - 1
+    rows = [{last - c: x for c, x in row.items()} for row in k.data[::-1][: a.cols]]
+    return QMatrix(a.cols, len(set().union(*rows)), rows)
 
 
 def preimage_basis(m: QMatrix, target: QMatrix) -> QMatrix:

@@ -193,6 +193,23 @@ def test_unknown_feature_is_usage_error(tmp_path):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["persist", "{manifest}", "--features", "nullity", "nullity"],
+        ["molecule", "{xyz}", "--thresholds", "1.2", "5", "--features", "nullity", "nullity"],
+        ["molecule", "{xyz}", "--thresholds", "1", "--features", "max", "min_pos", "max"],
+    ],
+)
+def test_repeated_feature_is_usage_error(tmp_path, capsys, argv):
+    """A repeated name would head two CSV columns alike and write its heatmap twice."""
+    with pytest.raises(SystemExit) as exc:
+        main(_usage_argv(tmp_path, argv))
+    assert exc.value.code == 1
+    assert f"argument --features: repeated {argv[-1]}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_complex_hypergraph_kind(tmp_path):
     path = tmp_path / "h.txt"
     path.write_text("0 1 2\n", encoding="utf-8")

@@ -311,3 +311,115 @@ def test_dense_size_guard():
     c = build_digraph_complex(CYCLIC, 2)
     with pytest.raises(ResourceLimitError):
         dirac(c, 0, dense_limit=2)
+
+
+# The float glue against sort-based and numpy reference forms: every value
+# must be the same bits, and every error the same message.
+
+
+def sorted_eigen_spectrum(matrix, exact_nullity, zero_tol=1e-9):
+    """Reference eigen_spectrum: sorts the eigvalsh output, and |λ| on every call."""
+    n = matrix.shape[0]
+    if n == 0:
+        return np.zeros(0), zero_tol
+    values = np.sort(np.linalg.eigvalsh(matrix))
+    if not 0 <= exact_nullity <= n:
+        raise NumericalInconsistencyError(f"exact nullity {exact_nullity} outside [0, {n}]")
+    scale = max(1.0, float(np.max(np.abs(values))))
+    abs_sorted = np.sort(np.abs(values))
+    threshold = zero_tol * scale
+    if int(np.sum(abs_sorted <= threshold)) != exact_nullity:
+        lo = abs_sorted[exact_nullity - 1] / scale if exact_nullity > 0 else 0.0
+        hi = abs_sorted[exact_nullity] / scale if exact_nullity < n else np.inf
+        t_lo, t_hi = TOL_WINDOW
+        if lo > t_hi or hi <= t_lo:
+            raise NumericalInconsistencyError(
+                f"cannot reconcile zero count with exact nullity {exact_nullity}: "
+                f"|λ| gap ({lo:.3e}, {hi:.3e}) misses the window [{t_lo:.0e}, {t_hi:.0e}]"
+            )
+        pick = np.sqrt(max(lo, t_lo) * min(hi, t_hi)) if np.isfinite(hi) else max(lo, t_lo) * 10
+        pick = min(max(pick, t_lo), t_hi)
+        threshold = pick * scale
+        if int(np.sum(abs_sorted <= threshold)) != exact_nullity:
+            raise NumericalInconsistencyError(
+                f"zero count at adjusted threshold still disagrees with nullity {exact_nullity}"
+            )
+    return values, threshold
+
+
+def numpy_features(spec: Spectrum) -> tuple:
+    pos = spec.positives()
+    if len(pos) == 0:
+        return (spec.exact_nullity, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    mean = float(np.mean(pos))
+    return (spec.exact_nullity, mean, float(np.mean(np.abs(pos - mean))), float(np.min(pos)),
+            float(np.max(pos)), float(np.sum(pos)), float(np.std(pos)))
+
+
+def bits(values) -> list:
+    return [np.float64(v).tobytes() if isinstance(v, float) else v for v in values]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(planted_kernels())
+def test_eigen_spectrum_matches_the_sorted_form(case):
+    """Values, threshold and errors, on planted kernels whose claimed nullity is
+    right (no slide), one off inside the window (a slide), or unreconcilable."""
+    matrix, claim = case
+    try:
+        expected = sorted_eigen_spectrum(matrix, claim)
+    except NumericalInconsistencyError as exc:
+        with pytest.raises(NumericalInconsistencyError) as got:
+            eigen_spectrum(matrix, claim)
+        assert str(got.value) == str(exc)
+        return
+    spec = eigen_spectrum(matrix, claim)
+    assert spec.values.tobytes() == expected[0].tobytes()
+    assert bits([spec.zero_threshold]) == bits([expected[1]])
+
+
+def test_eigen_spectrum_sorted_form_covers_slides_and_errors():
+    slid = eigen_spectrum(np.diag([0.0, 1e-10, 1.0]), exact_nullity=1)
+    assert slid.zero_threshold != 1e-9
+    assert slid.zero_threshold == sorted_eigen_spectrum(np.diag([0.0, 1e-10, 1.0]), 1)[1]
+    with pytest.raises(NumericalInconsistencyError, match="misses the window") as got:
+        eigen_spectrum(np.diag([0.0, 0.0, 1.0]), exact_nullity=1)
+    with pytest.raises(NumericalInconsistencyError) as old:
+        sorted_eigen_spectrum(np.diag([0.0, 0.0, 1.0]), 1)
+    assert str(got.value) == str(old.value)
+
+
+POSITIVE = st.floats(1e-6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def spectra(draw):
+    """Ascending spectra whose positive part is empty, one value, all equal
+    (mean and deviation are then rounding noise), or arbitrary."""
+    shape = draw(st.sampled_from(["empty", "single", "equal", "any", "any"]))
+    if shape == "empty":
+        pos = []
+    elif shape == "single":
+        pos = [draw(POSITIVE)]
+    elif shape == "equal":
+        pos = [draw(POSITIVE)] * draw(st.integers(2, 60))
+    else:
+        pos = draw(st.lists(POSITIVE, min_size=2, max_size=60))
+    negatives = draw(st.lists(st.floats(-1e3, -1e-6), max_size=5))
+    zeros = draw(st.integers(0, 3))
+    values = np.array(sorted(negatives + [0.0] * zeros + pos), dtype=float)
+    return Spectrum(values, zero_threshold=1e-9, exact_nullity=zeros)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(spectra())
+def test_features_match_the_numpy_formulas_bit_for_bit(spec):
+    f = features(spec)
+    assert bits(tuple(f.as_dict().values())) == bits(numpy_features(spec))
+
+
+def test_features_of_equal_positives_keep_the_rounding_noise():
+    spec = Spectrum(np.array([0.0] + [0.1] * 7), zero_threshold=1e-9, exact_nullity=1)
+    f = features(spec)
+    assert bits(tuple(f.as_dict().values())) == bits(numpy_features(spec))
+    assert f.gen_mean != 0.0 and f.std_pos != 0.0  # np.mean of seven 0.1s is not 0.1

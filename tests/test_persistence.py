@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import molecule_filtration
 from oracles import (
     _gauss_jordan_solve,
     is_subspace,
@@ -37,10 +38,11 @@ from pathdirac import (
 )
 from pathdirac import persistence
 from pathdirac import rational as qa
-from pathdirac.chain import split_boundary
+from pathdirac.chain import build_digraph_complex, build_hypergraph_complex, split_boundary
 from pathdirac.checks import pair_beta0
 from pathdirac.cli import main
 from pathdirac.errors import StructuralError
+from pathdirac.rational import QMatrix
 
 CYCLIC = Digraph.of([0, 1, 2], [(0, 1), (1, 2), (2, 0)])
 
@@ -171,11 +173,12 @@ def assert_matches_preimage_route(stages: StageComplexes) -> int:
             aux = auxiliary_complex(stages, a, b)
             bases, boundaries = oracle_auxiliary_route(stages, a, b)
             assert aux.c_bases == bases
-            assert aux.boundaries == boundaries
+            assert [aux.boundary(k) for k in range(aux.p_top + 1)] == boundaries
+            assert [d.boundary for d in aux.degrees] == boundaries
             for k in range(1, aux.p_top + 1):
                 assert aux.boundary_rank(k) == sympy_rank(boundaries[k])
             for k in range(2, aux.p_top + 1):
-                assert (aux.boundaries[k - 1] @ aux.boundaries[k]).is_zero()
+                assert (aux.boundary(k - 1) @ aux.boundary(k)).is_zero()
             for k, stage_a in enumerate(oracle_a_in_b(stages, a, b)):
                 assert is_subspace(stage_a, aux.c_bases[k])
     return n * (n + 1) // 2
@@ -566,3 +569,84 @@ def test_feature_grid_edge_added_between_stages():
     grid = feature_grid(StageComplexes(f, 2), 1)
     assert grid.cells[(1, 1)].nullity == 2
     assert grid.cells[(2, 2)].nullity == 1
+
+
+def same_bits(x: np.ndarray, y: np.ndarray) -> bool:
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def assert_stages_equal_alone_built(stages: StageComplexes) -> None:
+    """Stages built inside StageComplexes, which share path boundaries, equal
+    each stage built on its own: exact data exactly, float data bit for bit."""
+    for g, shared in zip(stages.filtration.stages, stages.complexes, strict=True):
+        build = build_digraph_complex if isinstance(g, Digraph) else build_hypergraph_complex
+        alone = build(g, stages.p_top)
+        for k, (d, e) in enumerate(zip(shared.degrees, alone.degrees, strict=True)):
+            assert (d.paths, d.omega, d.boundary, d.image) == (e.paths, e.omega, e.boundary, e.image)
+            assert shared.boundary_rank(k) == alone.boundary_rank(k)
+            assert same_bits(d.allowed_block, e.allowed_block)
+            assert same_bits(d.ortho, e.ortho)
+            assert same_bits(d.boundary_ortho, e.boundary_ortho)
+
+
+@pytest.mark.parametrize("hyper", [False, True], ids=["digraph", "hypergraph"])
+def test_shared_boundary_columns_change_no_stage_growing(hyper):
+    rng = random.Random(9009 + hyper)
+    for _ in range(40):
+        assert_stages_equal_alone_built(StageComplexes(growing_filtration(rng, hyper), 2))
+
+
+def test_shared_boundary_columns_change_no_stage_molecule(molecule_stage_complexes):
+    assert_stages_equal_alone_built(molecule_stage_complexes)
+
+
+def test_stages_form_each_path_boundary_once(monkeypatch):
+    """Each walk's boundary is formed once per filtration, not once per stage
+    that holds it, and degree 1 (no disallowed rows) takes no kernel."""
+    formed, kernels = [], []
+    real_boundary, real_kernel = persistence.boundary_of_path, qa.kernel_basis
+    monkeypatch.setattr(persistence, "boundary_of_path",
+                        lambda p: formed.append(p) or real_boundary(p))
+    monkeypatch.setattr(qa, "kernel_basis", lambda m: kernels.append(m) or real_kernel(m))
+    stages = StageComplexes(molecule_filtration(), 2)
+    walks = {p for c in stages.complexes for d in c.degrees[1:] for p in d.paths}
+    assert sorted(formed) == sorted(walks)
+    assert len(kernels) == len(stages)  # one per stage, at degree 2
+    for c in stages.complexes:
+        assert c.degrees[1].omega == QMatrix.identity(c.dim(1))
+        assert c.degrees[1].image is c.degrees[1].boundary
+
+
+def test_molecule_grid_op_skips_unread_exact_work(monkeypatch):
+    """One molecule-grid op makes at most 42 RREFs and 42 exact products, and an
+    auxiliary boundary over stage b's own degree 1 is formed only when read."""
+    counts = {"rref": 0, "matmul": 0}
+    real_rref, real_matmul = qa.rref, QMatrix.__matmul__
+    made = []
+    real_aux = persistence.auxiliary_complex
+
+    def rref(m):
+        counts["rref"] += 1
+        return real_rref(m)
+
+    def matmul(x, y):
+        counts["matmul"] += 1
+        return real_matmul(x, y)
+
+    monkeypatch.setattr(qa, "rref", rref)
+    monkeypatch.setattr(QMatrix, "__matmul__", matmul)
+    monkeypatch.setattr(persistence, "auxiliary_complex",
+                        lambda *args: made.append(real_aux(*args)) or made[-1])
+    stages = StageComplexes(molecule_filtration(), 2)
+    grid = feature_grid(stages, 1)
+    assert len(grid.cells) == len(made) == 28
+    assert counts["rref"] <= 42 and counts["matmul"] <= 42
+    deferred = [aux for aux in made if aux.a < aux.b]
+    assert len(deferred) == 21
+    assert all(aux.boundaries[2] is None and aux.degrees[2].boundary is None for aux in deferred)
+    counts["matmul"] = 0
+    for aux in deferred:
+        formed = aux.boundary(2)
+        assert formed == stages.stage(aux.b).degrees[2].boundary @ aux.c_bases[2]
+        assert aux.boundary(2) is formed is aux.degrees[2].boundary
+    assert counts["matmul"] == 2 * 21  # one deferred product per pair, one by the check

@@ -373,3 +373,64 @@ def test_exact_operations_leave_their_inputs_unchanged(m, data):
     qa.preimage_basis(m, dense(m.to_rows(), m.cols))
     assert inputs == before
     assert [q.to_rows() for q in inputs] == [q.to_rows() for q in before]
+
+
+# Reduced column echelon (RCEF) inputs skip the elimination in
+# column_space_basis; every other input is eliminated as before.
+
+
+@SETTINGS
+@given(matrices())
+def test_column_space_basis_returns_an_rcef_input_unchanged(m):
+    c = oracle_column_space_basis(m)
+    assert qa._is_rcef(c)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = count_rref(mp)
+        assert qa.column_space_basis(c) is c
+    assert calls[0] == 0
+    assert c == oracle_column_space_basis(c)
+
+
+def permuted_columns(m: QMatrix, order: list[int]) -> QMatrix:
+    rows = m.to_rows()
+    return dense([[row[j] for j in order] for row in rows], m.cols)
+
+
+def not_reduced(m: QMatrix, scale: int) -> list[QMatrix]:
+    """Spans equal to m's RCEF c but not in that form: a leading entry scaled,
+    and (with two columns or more) a later column added into the first."""
+    rows = m.to_rows()
+    out = [dense([[x * scale if j == 0 else x for j, x in enumerate(row)] for row in rows], m.cols)]
+    if m.cols >= 2:
+        out.append(dense([[row[0] + row[-1]] + row[1:] for row in rows], m.cols))
+    return out
+
+
+@SETTINGS
+@given(matrices(), st.randoms(use_true_random=False), st.sampled_from([2, -1, Fraction(1, 3)]))
+def test_column_space_basis_eliminates_inputs_that_are_not_rcef(m, rng, scale):
+    c = oracle_column_space_basis(m)
+    order = list(range(c.cols))
+    rng.shuffle(order)
+    variants = not_reduced(c, scale) if c.cols else []
+    if order != sorted(order):
+        variants.append(permuted_columns(c, order))
+    for v in variants:
+        assert not qa._is_rcef(v)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = count_rref(mp)
+            assert qa.column_space_basis(v) == c == oracle_column_space_basis(v)
+        assert calls[0] == 1
+
+
+@SETTINGS
+@given(st.data())
+def test_coefficients_into_is_rcef(data):
+    """Its columns already are the preimage's echelon basis, with or without a target."""
+    rows = data.draw(st.integers(0, 5))
+    m = data.draw(matrices(rows=rows))
+    target = data.draw(matrices(rows=rows, cols=data.draw(st.integers(0, 3))))
+    coefficients = qa._coefficients_into(m, target)
+    assert_stored_form(coefficients)
+    assert qa._is_rcef(coefficients)
+    assert coefficients == oracle_preimage_basis(m, target)
