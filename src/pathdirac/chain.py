@@ -2,13 +2,14 @@
 
 Builds, per degree, the boundary-invariant subspace of the span of anchor
 sequences, the exact boundary matrices between those subspaces, and float
-orthonormal bases for the operator layer. Also provides the generic
-infimum/supremum subcomplex constructions used both as an independent
-cross-check and for embedded homology.
+orthonormal bases for the operator layer, formed on first read. Also
+provides the generic infimum/supremum subcomplex constructions used both as
+an independent cross-check and for embedded homology.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,16 +73,29 @@ def split_boundary(
 
 @dataclass
 class DegreeData:
-    """Everything the operator layer needs about one degree."""
+    """One degree's exact data and the float blocks formed from it on first read."""
 
     paths: list[Path]
     omega: QMatrix  # columns: basis of the invariant subspace, path coordinates
     boundary: QMatrix | None  # exact map to the previous degree's omega basis (k >= 1);
     # None on an auxiliary degree until AuxiliaryComplex.boundary forms it
-    allowed_block: np.ndarray  # boundary into path coordinates of degree k-1
-    ortho: np.ndarray  # orthonormal basis, path coordinates
-    boundary_ortho: np.ndarray  # boundary in orthonormal bases
+    allowed: QMatrix  # boundary into path coordinates of degree k-1
+    prev: DegreeData | None  # degree k-1; None at degree 0
     image: QMatrix | None = None  # stage complexes only: allowed @ omega, rows at paths of k-1
+
+    @functools.cached_property
+    def allowed_block(self) -> np.ndarray:
+        return self.allowed.to_float()
+
+    @functools.cached_property
+    def ortho(self) -> np.ndarray:  # orthonormal basis, path coordinates
+        return orthonormal_basis(self.omega)
+
+    @functools.cached_property
+    def boundary_ortho(self) -> np.ndarray:  # boundary in orthonormal bases
+        if self.prev is None:
+            return np.zeros((0, self.omega.cols))
+        return self.prev.ortho.T @ (self.allowed_block @ self.ortho)
 
 
 class ExactComplex:
@@ -185,19 +199,9 @@ def build_complex(paths_per_degree: list[list[Path]], boundary_of=boundary_of_pa
                 raise StructuralError(
                     f"allowed path lists are not prefix/suffix closed at degree {k}: {path}"
                 )
-    degrees: list[DegreeData] = []
     n0 = len(paths_per_degree[0])
-    omega0 = QMatrix.identity(n0)
-    degrees.append(
-        DegreeData(
-            paths=paths_per_degree[0],
-            omega=omega0,
-            boundary=QMatrix(0, n0),
-            allowed_block=np.zeros((0, n0)),
-            ortho=np.eye(n0),
-            boundary_ortho=np.zeros((0, n0)),
-        )
-    )
+    empty = QMatrix(0, n0)
+    degrees = [DegreeData(paths_per_degree[0], QMatrix.identity(n0), empty, empty, None)]
     for k in range(1, len(paths_per_degree)):
         paths_k = paths_per_degree[k]
         paths_km1 = paths_per_degree[k - 1]
@@ -209,16 +213,8 @@ def build_complex(paths_per_degree: list[list[Path]], boundary_of=boundary_of_pa
         # boundary of each basis vector, re-expressed in the previous degree's basis
         # (degree 0's basis is the identity, so there the image is the boundary)
         boundary = image if k == 1 else qa.solve(prev.omega, image)
-        degrees.append(degree_data(paths_k, omega, boundary, allowed.to_float(), prev, image))
+        degrees.append(DegreeData(paths_k, omega, boundary, allowed, prev, image))
     return ChainComplex(degrees)
-
-
-def degree_data(paths: list[Path], omega: QMatrix, boundary: QMatrix, allowed: np.ndarray,
-                prev: DegreeData, image: QMatrix | None = None) -> DegreeData:
-    """One degree k >= 1 from its exact basis and boundary and the float allowed block."""
-    ortho = orthonormal_basis(omega)
-    return DegreeData(paths, omega, boundary, allowed, ortho, prev.ortho.T @ (allowed @ ortho),
-                      image)
 
 
 def build_digraph_complex(g: Digraph, p_top: int, cap: int = DEFAULT_PATH_CAP,

@@ -31,7 +31,8 @@ from .graphs import (
     symmetric_closure,
     underlying_graph,
 )
-from .operators import Laplacian, dirac, eigen_spectrum, float_rank, laplacian, verify_dirac_square
+from .operators import (DEFAULT_DENSE_LIMIT, Laplacian, dirac, eigen_spectrum, float_rank,
+                        guard_size, laplacian, verify_dirac_square)
 from .persistence import StageComplexes, auxiliary_complex, persistent_laplacian
 
 
@@ -122,6 +123,7 @@ def check_degree2_fast_path(graph: Digraph | Hypergraph, c: ChainComplex) -> Che
 
 
 def graph_check_suite(graph: Digraph | Hypergraph, c: ChainComplex) -> list[CheckResult]:
+    guard_size(sum(map(c.dim, range(c.p_top + 1))), DEFAULT_DENSE_LIMIT)  # largest Dirac first
     # The anchor spans inside their deletion closure, and the largest subcomplex
     # they contain, back both the omega and the embedded-homology checks.
     paths = [d.paths for d in c.degrees]

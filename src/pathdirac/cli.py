@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .chain import build_digraph_complex, build_hypergraph_complex
 from .checks import filtration_check_suite, graph_check_suite
-from .errors import PathDiracError
+from .errors import PathDiracError, ResourceLimitError
 from .fileio import (
     grid_csv,
     grid_payload,
@@ -185,9 +185,10 @@ def cmd_complex(args) -> int:
 def cmd_dirac(args) -> int:
     graph = load_graph(args.input, args.kind)
     c = _build(args, graph)
+    d = dirac(c, args.p, args.max_dense)  # the largest operator, so its guard goes first
     built = {f"laplacian_{n}": laplacian(c, n, args.max_dense) for n in range(args.p + 1)}
     built[f"down_laplacian_{args.p + 1}"] = down_laplacian(c, args.p + 1, args.max_dense)
-    built[f"dirac_{args.p}"] = d = dirac(c, args.p, args.max_dense)
+    built[f"dirac_{args.p}"] = d
     operators = {}
     for name, op in built.items():
         spec = eigen_spectrum(op.matrix, op.exact_nullity)
@@ -273,6 +274,9 @@ def main(argv=None) -> int:
     except PathDiracError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError as exc:  # a refused allocation is a resource limit too
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return ResourceLimitError.exit_code
     finally:
         elapsed = time.monotonic() - started
         print(f"[{args.command}] {elapsed:.3f}s", file=sys.stderr)

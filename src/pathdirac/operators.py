@@ -65,7 +65,7 @@ class FeatureSet:
         return {name: getattr(self, name) for name in self.FIELDS}
 
 
-def _guard_size(n: int, dense_limit: int) -> None:
+def guard_size(n: int, dense_limit: int) -> None:
     if n > dense_limit:
         raise ResourceLimitError(
             f"dense operator of size {n} exceeds the limit of {dense_limit}"
@@ -77,7 +77,7 @@ def laplacian(c: ChainComplex, n: int, dense_limit: int = DEFAULT_DENSE_LIMIT) -
     if not 0 <= n <= c.p_top - 1:
         raise ValueError(f"laplacian degree {n} needs the complex built to degree {n + 1}")
     dim = c.dim(n)
-    _guard_size(dim, dense_limit)
+    guard_size(dim, dense_limit)
     b_n = c.degrees[n].boundary_ortho
     b_up = c.degrees[n + 1].boundary_ortho
     down = b_n.T @ b_n
@@ -90,14 +90,13 @@ def down_laplacian(c: ChainComplex, n: int, dense_limit: int = DEFAULT_DENSE_LIM
     if not 0 <= n <= c.p_top:
         raise ValueError(f"down laplacian degree {n} out of built range")
     dim = c.dim(n)
-    _guard_size(dim, dense_limit)
+    guard_size(dim, dense_limit)
     b_n = c.degrees[n].boundary_ortho
     down = b_n.T @ b_n
     return Laplacian(n, down, np.zeros_like(down), down, exact_nullity=c.down_nullity(n))
 
 
-def dirac_from_blocks(blocks: list[np.ndarray], exact_nullity: int, degree: int,
-                      dense_limit: int = DEFAULT_DENSE_LIMIT) -> Dirac:
+def dirac_from_blocks(blocks: list[np.ndarray], exact_nullity: int, degree: int) -> Dirac:
     """Assemble the symmetric block-tridiagonal matrix from boundary blocks.
 
     blocks[k] maps degree k+1 to degree k in orthonormal bases; the block
@@ -105,7 +104,6 @@ def dirac_from_blocks(blocks: list[np.ndarray], exact_nullity: int, degree: int,
     """
     dims = [b.shape[0] for b in blocks] + [blocks[-1].shape[1]] if blocks else []
     total = sum(dims)
-    _guard_size(total, dense_limit)
     offsets = [0]
     for d in dims:
         offsets.append(offsets[-1] + d)
@@ -127,9 +125,10 @@ def dirac(c: ChainComplex, p: int, dense_limit: int = DEFAULT_DENSE_LIMIT) -> Di
     """
     if not 0 <= p <= c.p_top - 1:
         raise ValueError(f"dirac degree {p} needs the complex built to degree {p + 1}")
+    guard_size(sum(map(c.dim, range(p + 2))), dense_limit)  # before any float block is formed
     blocks = [c.degrees[k].boundary_ortho for k in range(1, p + 2)]
     nullity = sum(c.betti(i) for i in range(p + 1)) + c.down_nullity(p + 1)
-    return dirac_from_blocks(blocks, nullity, p, dense_limit)
+    return dirac_from_blocks(blocks, nullity, p)
 
 
 def eigen_spectrum(matrix: np.ndarray, exact_nullity: int,

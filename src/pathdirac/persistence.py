@@ -21,7 +21,6 @@ from .chain import (
     boundary_of_path,
     build_digraph_complex,
     build_hypergraph_complex,
-    degree_data,
     embed_paths,
 )
 from .errors import StructuralError
@@ -161,8 +160,9 @@ def auxiliary_complex(stages: StageComplexes, a: int, b: int) -> AuxiliaryComple
         # c_{k-1} = I: AuxiliaryComplex.boundary forms ∂_k(b) c_k if read; else solve checks it
         boundary = (None if degrees[k - 1] is prev
                     else qa.solve(c_bases[k - 1], d_k.boundary @ c_bases[k]))
-        degrees.append(degree_data(d_k.paths, d_k.omega @ c_bases[k], boundary,
-                                   d_k.allowed_block, degrees[k - 1]))
+        degrees.append(DegreeData(d_k.paths, d_k.omega @ c_bases[k], boundary, d_k.allowed,
+                                  degrees[k - 1]))
+        degrees[k].allowed_block = d_k.allowed_block  # stage b's block, converted once
     return AuxiliaryComplex(a, b, ca, cb, c_bases, degrees)
 
 

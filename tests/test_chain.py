@@ -99,12 +99,14 @@ def test_boundary_composes_to_zero_on_corpus(digraph_complexes):
 
 def test_chain_complex_rejects_nonzero_composition():
     # one vertex, one edge, one 2-chain, each boundary the 1x1 identity: ∂1 ∂2 = 1
-    def degree(rows):
-        return DegreeData([], QMatrix.identity(1), QMatrix.identity(1) if rows else QMatrix(0, 1),
-                          np.zeros((rows, 1)), np.eye(1), np.zeros((rows, 1)))
+    def degree(prev):
+        boundary = QMatrix(0, 1) if prev is None else QMatrix.identity(1)
+        return DegreeData([], QMatrix.identity(1), boundary, boundary, prev)
 
+    d0 = degree(None)
+    d1 = degree(d0)
     with pytest.raises(StructuralError, match="boundary composition at degree 2 is nonzero"):
-        ChainComplex([degree(0), degree(1), degree(1)])
+        ChainComplex([d0, d1, degree(d1)])
 
 
 def test_each_boundary_is_ranked_once(digraph_corpus, monkeypatch):

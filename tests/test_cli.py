@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from pathdirac import Digraph, build_digraph_complex, dirac, down_laplacian, laplacian
+from pathdirac import Digraph, build_digraph_complex, chain, dirac, down_laplacian, laplacian
 from pathdirac.cli import main
+from pathdirac.rational import QMatrix
 
 CYCLIC = "0 1\n1 2\n2 0\n"
 WATER = """3
@@ -433,4 +434,62 @@ def test_eigensolver_failure_is_identity_error(cyclic_file, tmp_path, capsys, mo
     assert main(["dirac", str(cyclic_file), "--p", "0", "--out", str(tmp_path / "out")]) == 4
     err = capsys.readouterr().err
     assert "error: eigvalsh failed on the 3x3 operator: Eigenvalues did not converge" in err
+    assert "Traceback" not in err
+
+
+@pytest.fixture
+def k10_file(tmp_path):
+    """The complete digraph on 10 vertices: 7,110 invariant 3-paths, a 8,010-wide Dirac at p=2."""
+    path = tmp_path / "k10.txt"
+    path.write_text("".join(f"{u} {v}\n" for u in range(10) for v in range(10) if u != v),
+                    encoding="utf-8")
+    return path
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("a float block was formed")
+
+
+def test_complex_forms_no_float_block(k10_file, tmp_path, monkeypatch):
+    monkeypatch.setattr(chain, "orthonormal_basis", refuse)
+    monkeypatch.setattr(QMatrix, "to_float", refuse)
+    out = tmp_path / "out"
+    assert main(["complex", str(k10_file), "--p", "2", "--out", str(out)]) == 0
+    doc = json.loads((out / "k10.complex.json").read_text())
+    assert doc["dims"] == [10, 90, 800, 7110]
+    assert doc["betti"] == [1, 0, 0]
+
+
+@pytest.mark.parametrize("command", ["dirac", "check"])
+def test_dense_guard_fires_before_any_float_block(k10_file, tmp_path, capsys, monkeypatch,
+                                                  command):
+    monkeypatch.setattr(chain, "orthonormal_basis", refuse)
+    assert main([command, str(k10_file), "--p", "2", "--out", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert "error: dense operator of size 8010 exceeds the limit of 4000" in captured.err
+    assert captured.out == ""
+
+
+def test_persist_guard_fires_before_any_orthonormal_basis(tmp_path, capsys, monkeypatch):
+    (tmp_path / "s1.txt").write_text("# vertices: 0 1 2 3\n", encoding="utf-8")
+    (tmp_path / "s2.txt").write_text("# vertices: 0 1 2 3\n0 1\n1 2\n2 0\n", encoding="utf-8")
+    manifest = tmp_path / "filt.txt"
+    manifest.write_text("s1.txt\ns2.txt\n", encoding="utf-8")
+    monkeypatch.setattr(chain, "orthonormal_basis", refuse)
+    # the smallest Dirac, stage pair (1, 1) at p=1, has size 4
+    argv = ["persist", str(manifest), "--p", "1", "--max-dense", "3", "--out", str(tmp_path / "out")]
+    assert main(argv) == 3
+    assert "exceeds the limit of 3" in capsys.readouterr().err
+
+
+def test_refused_allocation_is_resource_error(tmp_path, capsys, monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 395. MiB for an array with shape (7290, 7110)")
+
+    path = tmp_path / "square.txt"  # its invariant 2-path is a difference, so it takes a QR
+    path.write_text("0 1\n0 3\n1 2\n3 2\n", encoding="utf-8")
+    monkeypatch.setattr(np.linalg, "qr", no_memory)
+    assert main(["dirac", str(path), "--p", "1", "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "error: out of memory: Unable to allocate 395. MiB" in err
     assert "Traceback" not in err

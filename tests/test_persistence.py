@@ -269,9 +269,13 @@ def test_molecule_grid_builds_each_off_diagonal_degree2_once(molecule_stage_comp
     """Degree 1 and every diagonal pair are reused, so only the 21 off-diagonal
     degree-2 bases are built."""
     calls = []
-    real = persistence.degree_data
-    monkeypatch.setattr(persistence, "degree_data",
-                        lambda *args: calls.append(args[0]) or real(*args))
+
+    class CountingDegreeData(persistence.DegreeData):
+        def __init__(self, paths, *args):
+            calls.append(paths)
+            super().__init__(paths, *args)
+
+    monkeypatch.setattr(persistence, "DegreeData", CountingDegreeData)
     feature_grid(molecule_stage_complexes, 1)
     assert len(calls) == 21
     assert all(any(paths is c.degrees[2].paths for c in molecule_stage_complexes.complexes)
