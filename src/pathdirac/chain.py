@@ -82,10 +82,11 @@ class DegreeData:
     allowed: QMatrix  # boundary into path coordinates of degree k-1
     prev: DegreeData | None  # degree k-1; None at degree 0
     image: QMatrix | None = None  # stage complexes only: allowed @ omega, rows at paths of k-1
+    stage: DegreeData | None = None  # auxiliary only: the stage degree whose block it shares
 
     @functools.cached_property
-    def allowed_block(self) -> np.ndarray:
-        return self.allowed.to_float()
+    def allowed_block(self) -> np.ndarray:  # converted once per stage degree
+        return self.allowed.to_float() if self.stage is None else self.stage.allowed_block
 
     @functools.cached_property
     def ortho(self) -> np.ndarray:  # orthonormal basis, path coordinates

@@ -39,7 +39,7 @@ from .operators import (
     features,
     laplacian,
 )
-from .persistence import DEFAULT_FEATURES, StageComplexes, feature_grid
+from .persistence import DEFAULT_FEATURES, StageComplexes, feature_grid, threshold_problem
 from .fileio import atomic_write_text
 
 
@@ -72,6 +72,15 @@ class _Distinct(argparse.Action):
         repeated = sorted({v for v in values if values.count(v) > 1})
         if repeated:
             parser.error(f"argument {option_string}: repeated {', '.join(repeated)}")
+        setattr(namespace, self.dest, values)
+
+
+class _Thresholds(argparse.Action):
+    """argparse action: thresholds a filtration accepts (a usage error otherwise)."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if problem := threshold_problem(values):
+            parser.error(f"argument {option_string}: {problem}")
         setattr(namespace, self.dest, values)
 
 
@@ -130,7 +139,7 @@ def build_parser() -> CliParser:
 
     p_mol = sub.add_parser("molecule", help="bond digraph filtration pipeline from an XYZ file")
     p_mol.add_argument("input")
-    p_mol.add_argument("--thresholds", type=float, nargs="+", required=True)
+    p_mol.add_argument("--thresholds", type=float, nargs="+", required=True, action=_Thresholds)
     grid(p_mol)
 
     p_check = sub.add_parser("check", help="run the identity verification suite")

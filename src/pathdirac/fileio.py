@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .errors import ParseError
 from .graphs import Digraph, Hypergraph
-from .persistence import FeatureGrid, Filtration
+from .persistence import FeatureGrid, Filtration, threshold_problem
 
 SCHEMA_VERSION = "1"
 
@@ -126,10 +126,8 @@ def parse_manifest(text: str, base_dir, path: str | None = None) -> Filtration:
             raise ParseError("thresholds must be numbers", path) from None
         if not thresholds:
             raise ParseError("threshold list is empty", path)
-        if not all(math.isfinite(t) for t in thresholds):
-            raise ParseError("thresholds must be finite", path, thresholds_line)
-        if any(s >= t for s, t in zip(thresholds, thresholds[1:])):
-            raise ParseError("thresholds must be strictly increasing", path, thresholds_line)
+        if problem := threshold_problem(thresholds):
+            raise ParseError(problem, path, thresholds_line)
         vertices = _declared_vertices(text, path)
         weighted = []
         for lineno, line in _data_lines(text):

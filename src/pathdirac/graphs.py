@@ -8,6 +8,7 @@ matrices built on top of them are bit-reproducible.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import ParseError, ResourceLimitError, StructuralError
@@ -118,11 +119,7 @@ class Hypergraph:
 
 def essential_graph(h: Hypergraph) -> UndirectedGraph:
     """Undirected graph joining every vertex pair co-contained in a hyperedge."""
-    edges = set()
-    for e in h.hyperedges:
-        for i in range(len(e)):
-            for j in range(i + 1, len(e)):
-                edges.add((e[i], e[j]))
+    edges = {pair for e in h.hyperedges for pair in itertools.combinations(e, 2)}
     return UndirectedGraph(h.vertices, tuple(sorted(edges)))
 
 
@@ -138,11 +135,7 @@ def maximal_hyperedges(h: Hypergraph) -> Hypergraph:
 
 def symmetric_closure(g: UndirectedGraph) -> Digraph:
     """Two directed edges per undirected edge; walk sets are preserved."""
-    edges = []
-    for u, v in g.edges:
-        edges.append((u, v))
-        edges.append((v, u))
-    return Digraph(g.vertices, tuple(sorted(edges)))
+    return Digraph(g.vertices, tuple(sorted([*g.edges, *((v, u) for u, v in g.edges)])))
 
 
 def underlying_graph(g: Digraph) -> UndirectedGraph:

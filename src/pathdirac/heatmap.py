@@ -33,11 +33,7 @@ def ramp_color(t: float) -> str:
     scaled = t * (len(RAMP) - 1)
     lo = min(int(scaled), len(RAMP) - 2)
     frac = scaled - lo
-    r0, g0, b0 = RAMP[lo]
-    r1, g1, b1 = RAMP[lo + 1]
-    r = round(r0 + (r1 - r0) * frac)
-    g = round(g0 + (g1 - g0) * frac)
-    b = round(b0 + (b1 - b0) * frac)
+    r, g, b = (round(x0 + (x1 - x0) * frac) for x0, x1 in zip(RAMP[lo], RAMP[lo + 1]))
     return f"#{r:02x}{g:02x}{b:02x}"
 
 

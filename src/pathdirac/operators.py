@@ -7,6 +7,7 @@ adjusted, inside a bounded window, until both agree.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,8 +77,7 @@ def laplacian(c: ChainComplex, n: int, dense_limit: int = DEFAULT_DENSE_LIMIT) -
     """Degree-n Laplacian in the orthonormal bases; up and down parts kept apart."""
     if not 0 <= n <= c.p_top - 1:
         raise ValueError(f"laplacian degree {n} needs the complex built to degree {n + 1}")
-    dim = c.dim(n)
-    guard_size(dim, dense_limit)
+    guard_size(c.dim(n), dense_limit)
     b_n = c.degrees[n].boundary_ortho
     b_up = c.degrees[n + 1].boundary_ortho
     down = b_n.T @ b_n
@@ -89,8 +89,7 @@ def down_laplacian(c: ChainComplex, n: int, dense_limit: int = DEFAULT_DENSE_LIM
     """Down part alone; its kernel witnesses the top term of the Dirac nullity."""
     if not 0 <= n <= c.p_top:
         raise ValueError(f"down laplacian degree {n} out of built range")
-    dim = c.dim(n)
-    guard_size(dim, dense_limit)
+    guard_size(c.dim(n), dense_limit)
     b_n = c.degrees[n].boundary_ortho
     down = b_n.T @ b_n
     return Laplacian(n, down, np.zeros_like(down), down, exact_nullity=c.down_nullity(n))
@@ -103,11 +102,8 @@ def dirac_from_blocks(blocks: list[np.ndarray], exact_nullity: int, degree: int)
     sits above the diagonal with its transpose mirrored below.
     """
     dims = [b.shape[0] for b in blocks] + [blocks[-1].shape[1]] if blocks else []
-    total = sum(dims)
-    offsets = [0]
-    for d in dims:
-        offsets.append(offsets[-1] + d)
-    m = np.zeros((total, total))
+    offsets = [0, *itertools.accumulate(dims)]
+    m = np.zeros((offsets[-1], offsets[-1]))
     for k, b in enumerate(blocks):
         r0, r1 = offsets[k], offsets[k + 1]
         c0, c1 = offsets[k + 1], offsets[k + 2]

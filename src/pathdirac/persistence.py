@@ -39,6 +39,14 @@ from .rational import QMatrix
 Stage = Digraph | Hypergraph
 
 
+def threshold_problem(thresholds) -> str | None:
+    """Why these thresholds cannot index the stages of a filtration, or None if they can."""
+    if not all(map(math.isfinite, thresholds)):
+        return "thresholds must be finite"
+    if any(s >= t for s, t in zip(thresholds, thresholds[1:])):
+        return "thresholds must be strictly increasing"
+
+
 @dataclass(frozen=True)
 class Filtration:
     """Monotone sequence of digraphs or hypergraphs, stages indexed from 1."""
@@ -58,10 +66,8 @@ class Filtration:
             thresholds = tuple(float(t) for t in thresholds)
             if len(thresholds) != len(stages):
                 raise StructuralError("threshold count must match stage count")
-            if not all(math.isfinite(t) for t in thresholds):
-                raise StructuralError("thresholds must be finite")
-            if not all(a < b for a, b in zip(thresholds, thresholds[1:])):
-                raise StructuralError("thresholds must be strictly increasing")
+            if problem := threshold_problem(thresholds):
+                raise StructuralError(problem)
         for i in range(len(stages) - 1):
             ok = (
                 stages[i].is_subgraph_of(stages[i + 1])
@@ -161,8 +167,7 @@ def auxiliary_complex(stages: StageComplexes, a: int, b: int) -> AuxiliaryComple
         boundary = (None if degrees[k - 1] is prev
                     else qa.solve(c_bases[k - 1], d_k.boundary @ c_bases[k]))
         degrees.append(DegreeData(d_k.paths, d_k.omega @ c_bases[k], boundary, d_k.allowed,
-                                  degrees[k - 1]))
-        degrees[k].allowed_block = d_k.allowed_block  # stage b's block, converted once
+                                  degrees[k - 1], stage=d_k))
     return AuxiliaryComplex(a, b, ca, cb, c_bases, degrees)
 
 
@@ -240,6 +245,8 @@ def feature_grid(
     for name in feature_names:
         if name not in FeatureSet.FIELDS:
             raise ValueError(f"unknown feature {name!r}; choose from {FeatureSet.FIELDS}")
+        if feature_names.count(name) > 1:
+            raise ValueError(f"feature {name!r} is repeated")
     size = len(stages)
     grid = FeatureGrid(p, size, tuple(feature_names))
     pairs = [(n, m) for n in range(1, size + 1) for m in range(n, size + 1)]

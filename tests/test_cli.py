@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from pathdirac import Digraph, build_digraph_complex, chain, dirac, down_laplacian, laplacian
+from pathdirac import Digraph, build_digraph_complex, chain, cli, dirac, down_laplacian, laplacian
 from pathdirac.cli import main
 from pathdirac.rational import QMatrix
 
@@ -110,8 +110,24 @@ def test_molecule_command(tmp_path):
 def test_molecule_bad_thresholds_exit_code(tmp_path, capsys):
     xyz = tmp_path / "water.xyz"
     xyz.write_text(WATER, encoding="utf-8")
-    code = main(["molecule", str(xyz), "--thresholds", "1", "0.5", "--out", str(tmp_path)])
-    assert code == 4  # structural violation of the threshold contract
+    with pytest.raises(SystemExit) as exc:  # a usage error, found before any input is read
+        main(["molecule", str(xyz), "--thresholds", "1", "0.5", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "thresholds, problem",
+    [(["2", "1"], "strictly increasing"), (["1", "nan"], "finite"), (["1", "1"], "strictly increasing")],
+    ids=["decreasing", "nan", "repeated"],
+)
+def test_molecule_thresholds_are_usage_errors(tmp_path, capsys, thresholds, problem):
+    """The weighted-manifest form rejects the same thresholds as a parse error (exit 2)."""
+    with pytest.raises(SystemExit) as exc:
+        main(_usage_argv(tmp_path, ["molecule", "{xyz}", "--thresholds", *thresholds]))
+    assert exc.value.code == 1
+    assert f"error: argument --thresholds: thresholds must be {problem}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_molecule_zero_length_bond_is_parse_error(tmp_path, capsys):
@@ -273,8 +289,9 @@ def test_non_finite_manifest_weight_exit_code(tmp_path, capsys):
 def test_molecule_non_finite_threshold_exit_code(tmp_path):
     xyz = tmp_path / "water.xyz"
     xyz.write_text(WATER, encoding="utf-8")
-    code = main(["molecule", str(xyz), "--thresholds", "0.5", "nan", "2", "--out", str(tmp_path)])
-    assert code == 4  # structural violation of the threshold contract
+    with pytest.raises(SystemExit) as exc:  # a usage error, like an unordered list
+        main(["molecule", str(xyz), "--thresholds", "0.5", "nan", "2", "--out", str(tmp_path)])
+    assert exc.value.code == 1
 
 
 @pytest.mark.parametrize(
@@ -480,6 +497,36 @@ def test_persist_guard_fires_before_any_orthonormal_basis(tmp_path, capsys, monk
     argv = ["persist", str(manifest), "--p", "1", "--max-dense", "3", "--out", str(tmp_path / "out")]
     assert main(argv) == 3
     assert "exceeds the limit of 3" in capsys.readouterr().err
+
+
+def test_persist_guard_converts_no_block_of_the_refused_stage(tmp_path, capsys, monkeypatch):
+    (tmp_path / "s1.txt").write_text("0 1\n0 2\n", encoding="utf-8")
+    (tmp_path / "s2.txt").write_text("0 1\n1 2\n0 2\n", encoding="utf-8")
+    manifest = tmp_path / "filt.txt"
+    manifest.write_text("s1.txt\ns2.txt\n", encoding="utf-8")
+    built, converted = [], []
+
+    class Recorded(cli.StageComplexes):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    real = QMatrix.to_float
+
+    def recording(self):
+        converted.append(self)
+        return real(self)
+
+    monkeypatch.setattr(cli, "StageComplexes", Recorded)
+    monkeypatch.setattr(QMatrix, "to_float", recording)
+    # cell (1, 1) has size 5 and runs; cell (1, 2) has size 6, so its guard refuses it
+    argv = ["persist", str(manifest), "--p", "1", "--max-dense", "5", "--out", str(tmp_path / "out")]
+    assert main(argv) == 3
+    assert "error: dense operator of size 6 exceeds the limit of 5" in capsys.readouterr().err
+    stage_1, stage_2 = (built[0].stage(i).degrees for i in (1, 2))
+    assert any(m is stage_1[1].allowed for m in converted)
+    blocks_2 = [m for d in stage_2 for m in (d.allowed, d.omega)]
+    assert not any(m is b for m in converted for b in blocks_2)
 
 
 def test_refused_allocation_is_resource_error(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Filtrations, auxiliary complexes, and persistent operators."""
 
+import collections
 import contextlib
 import copy
 import io
@@ -271,15 +272,86 @@ def test_molecule_grid_builds_each_off_diagonal_degree2_once(molecule_stage_comp
     calls = []
 
     class CountingDegreeData(persistence.DegreeData):
-        def __init__(self, paths, *args):
+        def __init__(self, paths, *args, **kwargs):
             calls.append(paths)
-            super().__init__(paths, *args)
+            super().__init__(paths, *args, **kwargs)
 
     monkeypatch.setattr(persistence, "DegreeData", CountingDegreeData)
     feature_grid(molecule_stage_complexes, 1)
     assert len(calls) == 21
     assert all(any(paths is c.degrees[2].paths for c in molecule_stage_complexes.complexes)
                for paths in calls)
+
+
+# Stage 2 adds 1->2, so its 2-path 0->1->2 leaves stage 1 and pair (1, 2) rebuilds
+# degree 2 (dim 0) on stage 2's 3x1 allowed block; degrees 0 and 1 are stage 2's own.
+SHARED_BLOCK_STAGES = [Digraph.of(range(3), [(0, 1), (0, 2)]),
+                       Digraph.of(range(3), [(0, 1), (1, 2), (0, 2)])]
+
+
+def test_auxiliary_complex_converts_no_float_block(monkeypatch):
+    stages = StageComplexes(Filtration.of(SHARED_BLOCK_STAGES), 2)
+
+    def refuse(self):
+        raise AssertionError("a float block was formed")
+
+    monkeypatch.setattr(qa.QMatrix, "to_float", refuse)
+    aux = auxiliary_complex(stages, 1, 2)
+    monkeypatch.undo()
+    stage_2 = stages.stage(2).degrees[2]
+    assert aux.degrees[2] is not stage_2 and aux.degrees[2].stage is stage_2
+    assert aux.degrees[2].allowed_block.shape == (3, 1)
+    assert aux.degrees[2].allowed_block is stage_2.allowed_block
+
+
+def assert_auxiliary_blocks_are_stage_blocks(stages: StageComplexes) -> int:
+    """Every auxiliary degree reads stage b's allowed block: the same array, so
+    bit-identical and converted once per stage degree. Returns the rebuilt count."""
+    rebuilt = 0
+    for b in range(1, len(stages) + 1):
+        for a in range(1, b + 1):
+            aux = auxiliary_complex(stages, a, b)
+            for d, e in zip(aux.degrees, stages.stage(b).degrees, strict=True):
+                rebuilt += d is not e
+                assert d.paths is e.paths and d.allowed is e.allowed
+                assert d.allowed_block is e.allowed_block
+                assert same_bits(d.allowed_block, e.allowed.to_float())
+    return rebuilt
+
+
+def test_auxiliary_blocks_are_stage_blocks(filtration_corpus):
+    rebuilt = sum(assert_auxiliary_blocks_are_stage_blocks(StageComplexes(f, 2))
+                  for f in filtration_corpus)
+    rebuilt += assert_auxiliary_blocks_are_stage_blocks(StageComplexes(molecule_filtration(), 2))
+    assert rebuilt >= 100
+
+
+# (rows, cols) -> QMatrix.to_float calls in one molecule op (7 stages, p = 1), recorded
+# while auxiliary_complex converted stage b's block itself: reading it lazily must keep
+# converting each stage block exactly once
+MOLECULE_OP_TO_FLOAT = {
+    (9, 8): 1, (9, 9): 1, (17, 17): 1, (17, 19): 1, (19, 1): 1, (19, 2): 1, (24, 9): 1,
+    (24, 17): 1, (24, 24): 9, (24, 29): 1, (24, 34): 1, (24, 43): 1, (24, 52): 1, (24, 60): 1,
+    (29, 1): 1, (29, 2): 1, (29, 4): 1, (34, 34): 1, (34, 48): 1, (43, 43): 1, (43, 83): 1,
+    (48, 1): 1, (48, 3): 1, (48, 5): 1, (48, 8): 1, (52, 52): 1, (52, 115): 1, (60, 60): 1,
+    (60, 144): 1, (83, 7): 1, (83, 10): 1, (83, 12): 1, (83, 15): 1, (83, 20): 1, (115, 9): 1,
+    (115, 12): 1, (115, 14): 1, (115, 18): 1, (115, 23): 1, (115, 28): 1, (144, 14): 1,
+    (144, 17): 1, (144, 19): 1, (144, 23): 1, (144, 28): 1, (144, 33): 1, (144, 40): 1,
+}
+
+
+def test_molecule_op_converts_each_block_once(monkeypatch):
+    shapes = collections.Counter()
+    real = qa.QMatrix.to_float
+
+    def counting(self):
+        shapes[(self.rows, self.cols)] += 1
+        return real(self)
+
+    stages = StageComplexes(molecule_filtration(), 2)
+    monkeypatch.setattr(qa.QMatrix, "to_float", counting)
+    feature_grid(stages, 1)
+    assert shapes == MOLECULE_OP_TO_FLOAT
 
 
 def closed_form_beta0(g_a, g_b) -> int:
@@ -531,6 +603,12 @@ def test_feature_grid_rejects_unknown_feature():
     stages = StageComplexes(Filtration.of([CYCLIC]), 2)
     with pytest.raises(ValueError):
         feature_grid(stages, 1, ("volume",))
+
+
+def test_feature_grid_rejects_repeated_feature():
+    stages = StageComplexes(Filtration.of([CYCLIC]), 2)
+    with pytest.raises(ValueError, match="feature 'nullity' is repeated"):
+        feature_grid(stages, 1, ("nullity", "mean_pos", "nullity"))
 
 
 def test_persistent_dirac_needs_degree():
