@@ -211,9 +211,9 @@ def build_complex(paths_per_degree: list[list[Path]], boundary_of=boundary_of_pa
         omega = qa.kernel_basis(disallowed) if disallowed.rows else QMatrix.identity(len(paths_k))
         image = allowed @ omega if disallowed.rows else allowed
         prev = degrees[k - 1]
-        # boundary of each basis vector, re-expressed in the previous degree's basis
-        # (degree 0's basis is the identity, so there the image is the boundary)
-        boundary = image if k == 1 else qa.solve(prev.omega, image)
+        # boundary of each basis vector, re-expressed in the previous degree's basis;
+        # a basis as wide as its degree is the identity, and there the image is the boundary
+        boundary = image if prev.omega.cols == len(paths_km1) else qa.solve(prev.omega, image)
         degrees.append(DegreeData(paths_k, omega, boundary, allowed, prev, image))
     return ChainComplex(degrees)
 

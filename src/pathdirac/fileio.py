@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .errors import ParseError
 from .graphs import Digraph, Hypergraph
-from .persistence import FeatureGrid, Filtration, threshold_problem
+from .persistence import FeatureGrid, Filtration, missing_element, threshold_problem
 
 SCHEMA_VERSION = "1"
 
@@ -109,7 +109,8 @@ def parse_manifest(text: str, base_dir, path: str | None = None) -> Filtration:
     """Filtration manifest in one of two forms.
 
     Stage-list form: one graph-file path per line, optionally preceded by a
-    `# kind: digraph|hypergraph` directive (digraph by default).
+    `# kind: digraph|hypergraph` directive (digraph by default). Each stage
+    must contain the one before it.
 
     Weighted form, selected by a `# thresholds: t1 t2 ...` directive: data
     lines are `u v w` weighted directed edges; stage i keeps edges with
@@ -166,7 +167,11 @@ def parse_manifest(text: str, base_dir, path: str | None = None) -> Filtration:
                              path, lineno) from None
         if not found:
             raise ParseError(f"stage file not found: {line}", path, lineno)
-        stages.append(load_graph(stage_path, kind))
+        stage = load_graph(stage_path, kind)
+        if stages and (missing := missing_element(stages[-1], stage)):
+            raise ParseError(f"stages do not nest: stage {len(stages) + 1} ({line}) lacks "
+                             f"{missing} of stage {len(stages)}", path, lineno)
+        stages.append(stage)
     if not stages:
         raise ParseError("manifest lists no stages", path)
     return Filtration.of(stages)

@@ -44,9 +44,6 @@ class Digraph:
             adj[u].append(v)
         return {u: tuple(sorted(vs)) for u, vs in adj.items()}
 
-    def is_subgraph_of(self, other: "Digraph") -> bool:
-        return set(self.vertices) <= set(other.vertices) and set(self.edges) <= set(other.edges)
-
 
 @dataclass(frozen=True)
 class UndirectedGraph:
@@ -110,11 +107,6 @@ class Hypergraph:
         if any(v < 0 for v in vset):
             raise ParseError("vertex ids must be non-negative integers")
         return cls(tuple(sorted(vset)), tuple(sorted(eset)))
-
-    def is_subhypergraph_of(self, other: "Hypergraph") -> bool:
-        return set(self.vertices) <= set(other.vertices) and set(self.hyperedges) <= set(
-            other.hyperedges
-        )
 
 
 def essential_graph(h: Hypergraph) -> UndirectedGraph:

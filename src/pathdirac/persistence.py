@@ -47,6 +47,19 @@ def threshold_problem(thresholds) -> str | None:
         return "thresholds must be strictly increasing"
 
 
+def missing_element(stage: Stage, later: Stage) -> str | None:
+    """The first vertex, then edge or hyperedge, of a stage that a later stage lacks,
+    written as in a graph file; None when the stages nest."""
+
+    def elements(g):
+        name, edges = ("edge", g.edges) if isinstance(g, Digraph) else ("hyperedge", g.hyperedges)
+        return [("vertex", (v,)) for v in g.vertices] + [(name, e) for e in edges]
+
+    have = set(elements(later))
+    missing = next((x for x in elements(stage) if x not in have), None)
+    return missing and f"{missing[0]} `{' '.join(map(str, missing[1]))}`"
+
+
 @dataclass(frozen=True)
 class Filtration:
     """Monotone sequence of digraphs or hypergraphs, stages indexed from 1."""
@@ -59,8 +72,7 @@ class Filtration:
         stages = tuple(stages)
         if not stages:
             raise StructuralError("a filtration needs at least one stage")
-        kinds = {type(s) for s in stages}
-        if len(kinds) != 1:
+        if len({type(s) for s in stages}) != 1:
             raise StructuralError("filtration stages must all be digraphs or all hypergraphs")
         if thresholds is not None:
             thresholds = tuple(float(t) for t in thresholds)
@@ -69,15 +81,9 @@ class Filtration:
             if problem := threshold_problem(thresholds):
                 raise StructuralError(problem)
         for i in range(len(stages) - 1):
-            ok = (
-                stages[i].is_subgraph_of(stages[i + 1])
-                if isinstance(stages[i], Digraph)
-                else stages[i].is_subhypergraph_of(stages[i + 1])
-            )
-            if not ok:
-                raise StructuralError(
-                    f"filtration nesting violated between stages {i + 1} and {i + 2}"
-                )
+            if missing := missing_element(stages[i], stages[i + 1]):
+                raise StructuralError(f"filtration nesting violated: stage {i + 2} lacks "
+                                      f"{missing} of stage {i + 1}")
         return cls(stages, thresholds)
 
     def __len__(self) -> int:

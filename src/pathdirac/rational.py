@@ -105,13 +105,14 @@ def hstack(a: QMatrix, b: QMatrix) -> QMatrix:
     return QMatrix(a.rows, a.cols + b.cols, data)
 
 
-def rref(m: QMatrix) -> tuple[QMatrix, list[int]]:
-    """Reduced row echelon form and its ascending pivot columns (Gauss-Jordan).
+def rref(m: QMatrix, descending: bool = False) -> tuple[QMatrix, list[int]]:
+    """Reduced row echelon form and its pivot columns, in elimination order (Gauss-Jordan).
 
-    Columns are eliminated in ascending order; each pivot is the shortest row
-    with a nonzero there. The reduced form of a matrix is unique, so the choice
-    of pivot row, like the input's row order, never shows in the result. Pivot
-    rows come first, in pivot order, then the zero rows.
+    Columns are eliminated in ascending order, or descending on request (the
+    form of the column-reversed matrix, relabelled back); each pivot is the
+    shortest row with a nonzero there. The form for an order is unique, so the
+    choice of pivot row, like the input's row order, never shows in the result.
+    Pivot rows come first, in pivot order, then the zero rows.
     """
     rows = [dict(r) for r in m.data]
     where: dict[int, set[int]] = {}  # column -> rows with a nonzero there
@@ -121,7 +122,7 @@ def rref(m: QMatrix) -> tuple[QMatrix, list[int]]:
     pivoted = [False] * len(rows)
     order: list[int] = []
     pivots: list[int] = []
-    for col in sorted(where):
+    for col in sorted(where, reverse=descending):
         sel, best = -1, None
         for i in where[col]:
             if not pivoted[i] and (best is None or (len(rows[i]), i) < best):
@@ -158,13 +159,13 @@ def rank(m: QMatrix) -> int:
     return len(rref(m)[1])
 
 
-def kernel_basis(m: QMatrix) -> QMatrix:
+def kernel_basis(m: QMatrix, descending: bool = False) -> QMatrix:
     """Exact null-space basis; columns are in reduced echelon style.
 
     Free variable f contributes the column with 1 at f and -R[i][f] at each
-    pivot column p_i, giving a reproducible basis for a given column order.
+    pivot column p_i of `rref(m, descending)`; the columns ascend by f.
     """
-    r, pivots = rref(m)
+    r, pivots = rref(m, descending)
     pivot_set = set(pivots)
     free = {f: k for k, f in enumerate(j for j in range(m.cols) if j not in pivot_set)}
     out = QMatrix(m.cols, len(free))
@@ -219,17 +220,12 @@ def column_space_basis(m: QMatrix) -> QMatrix:
 def _coefficients_into(a: QMatrix, b: QMatrix) -> QMatrix:
     """Columns spanning {x : A x in span(b)}, in reduced column echelon form.
 
-    The columns of [A | -b] are eliminated in descending order, so each kernel
+    The columns of [A | b] are eliminated in descending order, so each kernel
     vector's first nonzero is a 1 at its own free column, where no other is
     nonzero. Those at a free column of A, ascending, restricted to x, are the
-    form; those at a free column of -b have a zero x-part and are dropped.
+    form; those at a free column of b have a zero x-part and are dropped.
     """
-    n = a.cols + b.cols
-    flipped = [{n - 1 - j: x for j, x in ra.items()} | {b.cols - 1 - j: -x for j, x in rb.items()}
-               for ra, rb in zip(a.data, b.data)]
-    k = kernel_basis(QMatrix(a.rows, n, flipped))
-    last = k.cols - 1
-    rows = [{last - c: x for c, x in row.items()} for row in k.data[::-1][: a.cols]]
+    rows = kernel_basis(hstack(a, b), descending=True).data[: a.cols]
     return QMatrix(a.cols, len(set().union(*rows)), rows)
 
 

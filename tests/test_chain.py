@@ -128,6 +128,26 @@ def test_each_boundary_is_ranked_once(digraph_corpus, monkeypatch):
         assert len(calls) == c.p_top, g
 
 
+def test_boundary_over_an_identity_basis_is_its_image(digraph_corpus, hypergraph_corpus,
+                                                     monkeypatch):
+    """Degree 1 of a digraph or hypergraph closure has the identity basis, so degree 2's
+    boundary is its image with no solve; degree 3 solves only over a non-identity basis."""
+    solved = []
+    real_solve = qa.solve
+    monkeypatch.setattr(qa, "solve", lambda a, b: solved.append(a) or real_solve(a, b))
+    graphs = [(g, build_digraph_complex) for g in digraph_corpus[:40]]
+    graphs += [(h, build_hypergraph_complex) for h in hypergraph_corpus[:20]]
+    for g, build in graphs:
+        c = build(g, 2)
+        assert solved == [] and c.degrees[2].boundary is c.degrees[2].image, g
+        c = build(g, 3)
+        omega2 = c.degrees[2].omega
+        identity = omega2 == QMatrix.identity(len(c.degrees[2].paths))
+        assert (c.degrees[3].boundary is c.degrees[3].image) == identity, g
+        assert solved == ([] if identity else [omega2]), g
+        solved.clear()
+
+
 def test_degree_zero_dimension_is_vertex_count(digraph_complexes):
     for g, c in digraph_complexes[:50]:
         assert c.dim(0) == len(g.vertices)

@@ -241,7 +241,119 @@ def test_broken_nesting_manifest_exit(tmp_path):
     (tmp_path / "s2.txt").write_text("1 0\n", encoding="utf-8")
     manifest = tmp_path / "filt.txt"
     manifest.write_text("s1.txt\ns2.txt\n", encoding="utf-8")
-    assert main(["persist", str(manifest), "--out", str(tmp_path)]) == 4
+    assert main(["persist", str(manifest), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("argv", [["persist"], ["check", "--kind", "filtration"]],
+                         ids=["persist", "check-filtration"])
+@pytest.mark.parametrize(
+    "kind, stages, missing",
+    [
+        ("digraph", ["0 1\n", "1 0\n"], "stage 2 (s2.txt) lacks edge `0 1` of stage 1"),
+        ("digraph", ["# vertices: 0 1 2 3\n0 1\n", "0 1\n1 2\n"],
+         "stage 2 (s2.txt) lacks vertex `3` of stage 1"),
+        ("hypergraph", ["0 1 2\n", "0 1 2\n0 1\n", "# vertices: 4\n0 1 2\n"],
+         "stage 3 (s3.txt) lacks hyperedge `0 1` of stage 2"),
+    ],
+    ids=["edge", "vertex", "hyperedge"],
+)
+def test_broken_nesting_names_manifest_line(tmp_path, capsys, argv, kind, stages, missing):
+    """Stages that do not nest are bad input: a parse error at the later stage's line,
+    naming the first element it lacks; nothing is written."""
+    names = [f"s{i}.txt" for i in range(1, len(stages) + 1)]
+    for name, text in zip(names, stages):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    manifest = tmp_path / "m.txt"
+    manifest.write_text(f"# kind: {kind}\n" + "".join(f"{n}\n" for n in names), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([argv[0], str(manifest), *argv[1:], "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {manifest}:{len(stages) + 1}: stages do not nest: {missing}\n" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "kind, text, repeated",
+    [
+        ("digraph", "0 1\n1 2\n2 0\n0 2\n", "0 1\n1 2\n2 0\n1 2\n0 2\n0 1\n"),
+        ("hypergraph", "0 1 2\n2 3\n3 0\n", "0 1 2\n2 3\n0 1 2\n3 0\n2 3\n"),
+    ],
+)
+def test_repeated_input_line_changes_no_result(tmp_path, kind, text, repeated):
+    """A graph file is read as a set of edges or hyperedges, so repeating a line
+    changes no written byte but the input digest."""
+    written = []
+    for name, body in (("once", text), ("twice", repeated)):
+        graph = tmp_path / name / "g.txt"
+        graph.parent.mkdir()
+        graph.write_text(body, encoding="utf-8")
+        out = tmp_path / name / "out"
+        for command in ("complex", "dirac"):
+            argv = [command, str(graph), "--kind", kind, "--dump-matrices", "--out", str(out)]
+            assert main(argv) == 0
+        docs = {p.name: json.loads(p.read_text()) for p in out.glob("*.json")}
+        digests = {name: doc.pop("input_digest") for name, doc in docs.items()}
+        csvs = {p.name: p.read_text() for p in out.glob("*.csv")}
+        written.append((docs, csvs, digests))
+    (docs, csvs, digests), (docs2, csvs2, digests2) = written
+    assert sorted(docs) == ["g.complex.json", "g.dirac.json"] and csvs
+    assert docs == docs2 and csvs == csvs2
+    assert all(digests[name] != digests2[name] for name in digests)
+
+
+CATALOGUE_FILES = {
+    "loop.txt": "0 1\n1 1\n",
+    "token.txt": "0 1\n1 x\n",
+    "negative.txt": "0 1\n1 -2\n",
+    "missing.txt": "g.txt\nno-such-stage.txt\n",
+    "s1.txt": "0 1\n",
+    "s2.txt": "1 0\n",
+    "nesting.txt": "s1.txt\ns2.txt\n",
+    "nan.txt": "# thresholds: 0 1\n0 1 0.5\n1 2 nan\n",
+    "bond.xyz": WATER.replace("BOND 0 2", "BOND 0 3"),
+    "zero.xyz": "2\ndup\nC 0 0 0\nC 0 0 0\nBOND 0 1\n",
+    "g.txt": CYCLIC,
+    "w.xyz": WATER,
+}
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["complex", "loop.txt"], 2),
+        (["complex", "token.txt"], 2),
+        (["complex", "negative.txt"], 2),
+        (["complex", "binary.txt"], 2),
+        (["persist", "missing.txt"], 2),
+        (["persist", "nesting.txt"], 2),
+        (["persist", "nan.txt"], 2),
+        (["molecule", "bond.xyz", "--thresholds", "1", "2"], 2),
+        (["molecule", "zero.xyz", "--thresholds", "1"], 2),
+        (["complex", "g.txt", "--cap", "0"], 3),
+        (["dirac", "g.txt", "--max-dense", "0"], 3),
+        (["molecule", "w.xyz", "--thresholds", "2", "1"], 1),
+    ],
+    ids=["loop", "non-integer", "negative-id", "non-utf8", "missing-stage", "broken-nesting",
+         "nan-weight", "bad-bond-index", "zero-length-bond", "cap-0", "max-dense-0",
+         "bad-thresholds"],
+)
+def test_exit_code_catalogue(tmp_path, capsys, argv, code):
+    """Each documented bad input ends with its exit code, one `error:` line, no
+    traceback, and no result file under --out."""
+    for name, text in CATALOGUE_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    (tmp_path / "binary.txt").write_bytes(b"0 1\n\xff\xfe\n")
+    out = tmp_path / "out"
+    try:
+        got = main([argv[0], str(tmp_path / argv[1]), *argv[2:], "--out", str(out)])
+    except SystemExit as exc:  # usage errors leave through argparse
+        got = exc.code
+    err = capsys.readouterr().err
+    assert got == code
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].startswith("error:"), err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_dirac_dump_matrices_match_library(cyclic_file, tmp_path):

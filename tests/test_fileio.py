@@ -5,7 +5,7 @@ import json
 import pytest
 
 from pathdirac import Digraph, Filtration, StageComplexes
-from pathdirac.errors import ParseError, StructuralError
+from pathdirac.errors import ParseError
 from pathdirac.fileio import (
     format_cell,
     grid_csv,
@@ -114,6 +114,11 @@ def test_manifest_weighted_form(tmp_path):
     assert f.stages[0].vertices == (0, 1, 2, 3)
 
 
+def test_manifest_weighted_edge_listed_twice_enters_at_smaller_weight(tmp_path):
+    f = parse_manifest("# thresholds: 1 2 3\n0 1 2.5\n1 2 3\n0 1 1.5\n", tmp_path)
+    assert [s.edges for s in f.stages] == [(), ((0, 1),), ((0, 1), (1, 2))]
+
+
 def test_manifest_weighted_form_errors(tmp_path):
     with pytest.raises(ParseError):
         parse_manifest("# thresholds: 1 2\n0 1\n", tmp_path)
@@ -135,12 +140,13 @@ def test_manifest_weighted_form_errors(tmp_path):
         parse_manifest("# thresholds: 1 2\n# vertices: -2\n0 1 1\n", tmp_path, "m.txt")
 
 
-def test_manifest_broken_nesting_is_structural(tmp_path):
+def test_manifest_broken_nesting_is_parse_error(tmp_path):
     (tmp_path / "s1.txt").write_text("0 1\n", encoding="utf-8")
     (tmp_path / "s2.txt").write_text("1 0\n", encoding="utf-8")
     manifest = tmp_path / "stages.txt"
-    manifest.write_text("s1.txt\ns2.txt\n", encoding="utf-8")
-    with pytest.raises(StructuralError):
+    manifest.write_text("s1.txt\n# comment\ns2.txt\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=r"stages.txt:3: stages do not nest: stage 2 \(s2.txt\) "
+                                         r"lacks edge `0 1` of stage 1$"):
         load_manifest(manifest)
 
 

@@ -56,7 +56,8 @@ def two_stage(edges_a, edges_b, vertices):
 def test_filtration_rejects_broken_nesting():
     a = Digraph.of([0, 1], [(0, 1)])
     b = Digraph.of([0, 1], [(1, 0)])
-    with pytest.raises(StructuralError):
+    with pytest.raises(StructuralError,
+                       match="^filtration nesting violated: stage 2 lacks edge `0 1` of stage 1$"):
         Filtration.of([a, b])
 
 
@@ -578,10 +579,10 @@ def test_feature_grid_ranks_only_stage_boundaries(monkeypatch):
         calls["rank"] += 1
         return real_rank(m)
 
-    def rref(m):
+    def rref(*args, **kwargs):
         calls["rref"] += 1
         calls["rref_in_solve"] += in_solve[0]
-        return real_rref(m)
+        return real_rref(*args, **kwargs)
 
     def solve(a, b):
         in_solve[0] = True
@@ -642,7 +643,7 @@ def test_hypergraph_filtration_rejects_broken_nesting():
 
     h1 = Hypergraph.of(range(3), [(0, 1)])
     h2 = Hypergraph.of(range(3), [(1, 2)])
-    with pytest.raises(StructuralError):
+    with pytest.raises(StructuralError, match="stage 2 lacks hyperedge `0 1` of stage 1"):
         Filtration.of([h1, h2])
 
 
@@ -700,16 +701,16 @@ def test_stages_form_each_path_boundary_once(monkeypatch):
 
 
 def test_molecule_grid_op_skips_unread_exact_work(monkeypatch):
-    """One molecule-grid op makes at most 42 RREFs and 42 exact products, and an
+    """One molecule-grid op makes at most 42 RREFs and 35 exact products, and an
     auxiliary boundary over stage b's own degree 1 is formed only when read."""
     counts = {"rref": 0, "matmul": 0}
     real_rref, real_matmul = qa.rref, QMatrix.__matmul__
     made = []
     real_aux = persistence.auxiliary_complex
 
-    def rref(m):
+    def rref(*args, **kwargs):
         counts["rref"] += 1
-        return real_rref(m)
+        return real_rref(*args, **kwargs)
 
     def matmul(x, y):
         counts["matmul"] += 1
@@ -722,7 +723,7 @@ def test_molecule_grid_op_skips_unread_exact_work(monkeypatch):
     stages = StageComplexes(molecule_filtration(), 2)
     grid = feature_grid(stages, 1)
     assert len(grid.cells) == len(made) == 28
-    assert counts["rref"] <= 42 and counts["matmul"] <= 42
+    assert counts["rref"] <= 42 and counts["matmul"] <= 35
     deferred = [aux for aux in made if aux.a < aux.b]
     assert len(deferred) == 21
     assert all(aux.boundaries[2] is None and aux.degrees[2].boundary is None for aux in deferred)

@@ -273,18 +273,28 @@ def columns(m: sympy.Matrix) -> list[list]:
     return [list(m[:, j]) for j in range(m.cols)]
 
 
+def reverse_columns(rows: list[list]) -> list[list]:
+    return [row[::-1] for row in rows]
+
+
 @SETTINGS
-@given(matrices(), st.randoms(use_true_random=False))
-def test_rref_matches_oracles_in_any_row_order(m, rng):
-    r, pivots = qa.rref(m)
+@given(matrices(), st.booleans(), st.randoms(use_true_random=False))
+def test_rref_matches_oracles_in_any_row_order(m, descending, rng):
+    """Descending elimination is the reduced form of the column-reversed matrix,
+    relabelled back, with its pivots listed in elimination order."""
+    r, pivots = qa.rref(m, descending)
     assert_stored_form(r)
     assert (r.rows, r.cols) == (m.rows, m.cols)
-    assert (r.to_rows(), pivots) == oracle_dense_rref(m)
-    expected, sympy_pivots = to_sympy(m).rref()
-    assert to_sympy(r) == expected and tuple(pivots) == sympy_pivots
+    source, got = m, (r.to_rows(), pivots)
+    if descending:  # judged in the reversed matrix's own column labels
+        source = dense(reverse_columns(m.to_rows()), m.cols)
+        got = (reverse_columns(got[0]), [m.cols - 1 - p for p in pivots])
+    assert got == oracle_dense_rref(source)
+    expected, sympy_pivots = to_sympy(source).rref()
+    assert to_sympy(dense(got[0], m.cols)) == expected and tuple(got[1]) == sympy_pivots
     rows = m.to_rows()
     rng.shuffle(rows)
-    assert qa.rref(dense(rows, m.cols)) == (r, pivots)
+    assert qa.rref(dense(rows, m.cols), descending) == (r, pivots)
 
 
 @SETTINGS
