@@ -54,7 +54,6 @@ from .operators import (
     eigen_spectrum,
     features,
     laplacian,
-    verify_dirac_square,
 )
 from .persistence import (
     AuxiliaryComplex,
@@ -118,5 +117,4 @@ __all__ = [
     "persistent_laplacian",
     "supremum_complex",
     "symmetric_closure",
-    "verify_dirac_square",
 ]

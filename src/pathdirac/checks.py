@@ -31,8 +31,8 @@ from .graphs import (
     symmetric_closure,
     underlying_graph,
 )
-from .operators import (DEFAULT_DENSE_LIMIT, Laplacian, dirac, eigen_spectrum, float_rank,
-                        guard_size, laplacian, verify_dirac_square)
+from .operators import (DEFAULT_DENSE_LIMIT, Laplacian, Spectrum, dirac, down_laplacian,
+                        eigen_spectrum, float_rank, guard_size, laplacian)
 from .persistence import StageComplexes, auxiliary_complex, persistent_laplacian
 
 
@@ -47,25 +47,40 @@ def _result(name: str, passed: bool, detail: str) -> CheckResult:
     return CheckResult(name, bool(passed), detail)
 
 
+def spectrum_symmetry_defect(spec: Spectrum) -> float:
+    """Max distance between the spectrum and its negation (0 for Dirac spectra)."""
+    if len(spec.values) == 0:
+        return 0.0
+    return float(np.max(np.abs(spec.values + spec.values[::-1])))
+
+
 def check_dirac_identities(c: ChainComplex, laps: list[Laplacian]) -> list[CheckResult]:
-    """Square, spectrum symmetry and nullity identity of D_p, from one report per degree."""
-    reports = [verify_dirac_square(c, p, laplacians=laps) for p in range(c.p_top)]
-    squares = [_result(f"dirac-square-p{r.degree}", r.passed, r.detail) for r in reports]
-    symmetry = [
-        _result(f"dirac-spectrum-symmetry-p{r.degree}", r.symmetry_defect <= 1e-8,
-                f"defect {r.symmetry_defect:.3e}")
-        for r in reports
-    ]
-    nullity = [
-        _result(
-            f"dirac-nullity-identity-p{r.degree}",
-            r.float_nullity == r.exact_nullity,
-            # the Betti-sum form is the exact nullity by construction (see `dirac`)
-            f"exact {r.exact_nullity}, betti-sum form {r.exact_nullity}, "
-            f"float-rank form {r.float_nullity}",
-        )
-        for r in reports
-    ]
+    """Square, spectrum symmetry and nullity identity of each D_p, p < c.p_top.
+
+    D_p^2 must match blockdiag(L_0, ..., L_p, Down_{p+1}) entrywise to 1e-10, L_i
+    from `laps`. The exact nullity is the Betti-sum form by construction (see
+    `dirac`), so the nullity line tests it against the float-rank form.
+    """
+    squares, symmetry, nullity = [], [], []
+    for p in range(c.p_top):
+        d = dirac(c, p)
+        square = d.matrix @ d.matrix
+        offsets = d.block_offsets
+        blocks = [lap.matrix for lap in laps[: p + 1]] + [down_laplacian(c, p + 1).matrix]
+        expect = np.zeros_like(square)
+        for k, blk in enumerate(blocks):
+            expect[offsets[k]:offsets[k + 1], offsets[k]:offsets[k + 1]] = blk
+        defect = float(np.max(np.abs(square - expect))) if square.size else 0.0
+        exact = d.exact_nullity
+        sym = spectrum_symmetry_defect(eigen_spectrum(d.matrix, exact))
+        float_nullity = d.matrix.shape[0] - float_rank(d.matrix)
+        squares.append(_result(
+            f"dirac-square-p{p}", defect <= 1e-10 and sym <= 1e-8,
+            f"square defect {defect:.3e}, nullity {exact} vs {exact}, spectrum symmetry {sym:.3e}"))
+        symmetry.append(_result(f"dirac-spectrum-symmetry-p{p}", sym <= 1e-8, f"defect {sym:.3e}"))
+        nullity.append(_result(
+            f"dirac-nullity-identity-p{p}", float_nullity == exact,
+            f"exact {exact}, betti-sum form {exact}, float-rank form {float_nullity}"))
     return squares + symmetry + nullity
 
 

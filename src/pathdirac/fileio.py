@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import os
-import tempfile
+import secrets
 from pathlib import Path
 
 from .errors import ParseError
@@ -208,16 +208,17 @@ def input_digest(path) -> str:
 
 
 def atomic_write_text(path, text: str) -> None:
+    """Write a fresh temp file beside `path` (mode 0o666 less the umask), then rename it."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.parent / f".{path.name}.{secrets.token_hex(4)}.tmp"
+    fh = open(tmp, "x", encoding="utf-8", newline="\n")  # raises before creating anything
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+        with fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 

@@ -24,8 +24,6 @@ DEFAULT_DENSE_LIMIT = 4000
 class Laplacian:
     degree: int
     matrix: np.ndarray
-    up: np.ndarray
-    down: np.ndarray
     exact_nullity: int
 
 
@@ -74,15 +72,14 @@ def guard_size(n: int, dense_limit: int) -> None:
 
 
 def laplacian(c: ChainComplex, n: int, dense_limit: int = DEFAULT_DENSE_LIMIT) -> Laplacian:
-    """Degree-n Laplacian in the orthonormal bases; up and down parts kept apart."""
+    """Degree-n Laplacian in the orthonormal bases: up part plus down part."""
     if not 0 <= n <= c.p_top - 1:
         raise ValueError(f"laplacian degree {n} needs the complex built to degree {n + 1}")
     guard_size(c.dim(n), dense_limit)
     b_n = c.degrees[n].boundary_ortho
     b_up = c.degrees[n + 1].boundary_ortho
     down = b_n.T @ b_n
-    up = b_up @ b_up.T
-    return Laplacian(n, up + down, up, down, exact_nullity=c.betti(n))
+    return Laplacian(n, b_up @ b_up.T + down, exact_nullity=c.betti(n))
 
 
 def down_laplacian(c: ChainComplex, n: int, dense_limit: int = DEFAULT_DENSE_LIMIT) -> Laplacian:
@@ -91,8 +88,7 @@ def down_laplacian(c: ChainComplex, n: int, dense_limit: int = DEFAULT_DENSE_LIM
         raise ValueError(f"down laplacian degree {n} out of built range")
     guard_size(c.dim(n), dense_limit)
     b_n = c.degrees[n].boundary_ortho
-    down = b_n.T @ b_n
-    return Laplacian(n, down, np.zeros_like(down), down, exact_nullity=c.down_nullity(n))
+    return Laplacian(n, b_n.T @ b_n, exact_nullity=c.down_nullity(n))
 
 
 def dirac_from_blocks(blocks: list[np.ndarray], exact_nullity: int, degree: int) -> Dirac:
@@ -177,13 +173,6 @@ def eigen_spectrum(matrix: np.ndarray, exact_nullity: int,
     return Spectrum(values, threshold, exact_nullity)
 
 
-def spectrum_symmetry_defect(spec: Spectrum) -> float:
-    """Max distance between the spectrum and its negation (0 for Dirac spectra)."""
-    if len(spec.values) == 0:
-        return 0.0
-    return float(np.max(np.abs(spec.values + spec.values[::-1])))
-
-
 def features(spec: Spectrum) -> FeatureSet:
     """Scalar features of the strictly positive part of a spectrum.
 
@@ -207,50 +196,6 @@ def features(spec: Spectrum) -> FeatureSet:
         sum_pos=total,
         std_pos=float(np.sqrt(np.sum(dev * dev) / n)),
     )
-
-
-@dataclass
-class DiracSquareReport:
-    degree: int
-    passed: bool
-    off_block_defect: float
-    exact_nullity: int
-    symmetry_defect: float
-    float_nullity: int  # operator size minus its SVD rank
-    zero_count: int  # eigenvalues inside the spectrum's zero threshold
-    spectrum: Spectrum
-    detail: str
-
-
-def verify_dirac_square(c: ChainComplex, p: int,
-                        laplacians: list[Laplacian] | None = None) -> DiracSquareReport:
-    """Check D_p^2 against the Laplacian block diagonal and its spectrum's symmetry.
-
-    The square must match blockdiag(L_0, ..., L_p, Down_{p+1}) entrywise to 1e-10, L_i
-    from `laplacians` if given. The exact nullity is the Betti-sum form by construction
-    (see `dirac`), so the report carries the float-rank form and the zero count to test
-    it against.
-    """
-    if laplacians is None:
-        laplacians = [laplacian(c, i) for i in range(p + 1)]
-    d = dirac(c, p)
-    square = d.matrix @ d.matrix
-    offsets = d.block_offsets
-    blocks = [lap.matrix for lap in laplacians[: p + 1]] + [down_laplacian(c, p + 1).matrix]
-    expect = np.zeros_like(square)
-    for k, blk in enumerate(blocks):
-        r0, r1 = offsets[k], offsets[k + 1]
-        expect[r0:r1, r0:r1] = blk
-    off_defect = float(np.max(np.abs(square - expect))) if square.size else 0.0
-    nullity = d.exact_nullity
-    spec = eigen_spectrum(d.matrix, nullity)
-    sym = spectrum_symmetry_defect(spec)
-    passed = off_defect <= 1e-10 and sym <= 1e-8
-    # both sides of the printed identity are the exact nullity
-    detail = f"square defect {off_defect:.3e}, nullity {nullity} vs {nullity}, spectrum symmetry {sym:.3e}"
-    float_nullity = d.matrix.shape[0] - float_rank(d.matrix)
-    zeros = spec.zero_count()
-    return DiracSquareReport(p, passed, off_defect, nullity, sym, float_nullity, zeros, spec, detail)
 
 
 def float_rank(matrix: np.ndarray) -> int:

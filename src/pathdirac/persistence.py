@@ -197,11 +197,10 @@ def persistent_laplacian(aux: AuxiliaryComplex, n: int) -> Laplacian:
     embed = embed_paths(ca.degrees[n].paths, cb.degrees[n].paths).to_float()
     q_a = embed @ ca.degrees[n].ortho
     m = q_a.T @ (cb.degrees[n + 1].allowed_block @ aux.degrees[n + 1].ortho)
-    up = m @ m.T
     # The auxiliary boundary lands in the stage-a space, whose basis is injective
     # in stage b, so its rank is the rank of the map into stage a.
     nullity = ca.dim(n) - ca.boundary_rank(n) - aux.boundary_rank(n + 1)
-    return Laplacian(n, up + down, up, down, nullity)
+    return Laplacian(n, m @ m.T + down, nullity)
 
 
 def persistent_betti(stages: StageComplexes, a: int, b: int, n: int) -> int:

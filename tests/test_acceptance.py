@@ -44,8 +44,9 @@ from pathdirac import (
 )
 from pathdirac import rational as qa
 from pathdirac.chain import deletion_closure_complex, embed_paths, infimum_complex, supremum_complex
+from pathdirac.checks import spectrum_symmetry_defect
 from pathdirac.graphs import h1_rank_digraph, h1_upper_bound_hypergraph
-from pathdirac.operators import features, float_rank, spectrum_symmetry_defect
+from pathdirac.operators import features, float_rank
 
 SQRT3 = np.sqrt(3.0)
 ELAPSED: dict[str, float] = {}

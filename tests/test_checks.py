@@ -1,11 +1,96 @@
 """The identity check suites over deterministic and randomized inputs."""
 
-from pathdirac import Digraph, Filtration, Hypergraph, StageComplexes
+import dataclasses
+
+import numpy as np
+import pytest
+
+from pathdirac import Digraph, Filtration, Hypergraph, StageComplexes, checks, dirac, laplacian
 from pathdirac import rational as qa
 from pathdirac.chain import build_digraph_complex, build_hypergraph_complex, omega2_generators_fast
-from pathdirac.checks import filtration_check_suite, graph_check_suite
+from pathdirac.checks import check_dirac_identities, filtration_check_suite, graph_check_suite
 
 CYCLIC = Digraph.of([0, 1, 2], [(0, 1), (1, 2), (2, 0)])
+CIRCULANT = np.array([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]])
+
+
+def dirac_lines(c) -> list:
+    """check_dirac_identities on c, with its own Laplacians, as `check` prints them."""
+    results = check_dirac_identities(c, [laplacian(c, i) for i in range(c.p_top)])
+    return [f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results]
+
+
+def test_check_dirac_identities_cyclic():
+    c = build_digraph_complex(CYCLIC, 2)
+    results = check_dirac_identities(c, [laplacian(c, i) for i in range(c.p_top)])
+    square = next(r for r in results if r.name == "dirac-square-p0")
+    assert square.passed
+    assert float(square.detail.split(",")[0].removeprefix("square defect ")) <= 1e-10
+    d = dirac(c, 0)
+    expected = np.block([[CIRCULANT, np.zeros((3, 3))], [np.zeros((3, 3)), CIRCULANT]])
+    np.testing.assert_allclose(d.matrix @ d.matrix, expected, atol=1e-12)
+
+
+def test_check_dirac_identities_vacuous_on_zero_complex():
+    c = build_digraph_complex(Digraph.of([], []), 1)
+    results = check_dirac_identities(c, [laplacian(c, i) for i in range(c.p_top)])
+    assert [r.name for r in results] == [
+        "dirac-square-p0", "dirac-spectrum-symmetry-p0", "dirac-nullity-identity-p0"]
+    assert all(r.passed for r in results)
+
+
+@pytest.mark.parametrize(
+    "graph, p_top, lines",
+    [
+        (CYCLIC, 2, [
+            "PASS dirac-square-p0: square defect 0.000e+00, nullity 2 vs 2, spectrum symmetry 2.220e-16",
+            "PASS dirac-square-p1: square defect 0.000e+00, nullity 2 vs 2, spectrum symmetry 2.220e-16",
+            "PASS dirac-spectrum-symmetry-p0: defect 2.220e-16",
+            "PASS dirac-spectrum-symmetry-p1: defect 2.220e-16",
+            "PASS dirac-nullity-identity-p0: exact 2, betti-sum form 2, float-rank form 2",
+            "PASS dirac-nullity-identity-p1: exact 2, betti-sum form 2, float-rank form 2",
+        ]),
+        (Digraph.of([], []), 1, [
+            "PASS dirac-square-p0: square defect 0.000e+00, nullity 0 vs 0, spectrum symmetry 0.000e+00",
+            "PASS dirac-spectrum-symmetry-p0: defect 0.000e+00",
+            "PASS dirac-nullity-identity-p0: exact 0, betti-sum form 0, float-rank form 0",
+        ]),
+    ],
+    ids=["cyclic-triangle", "empty"],
+)
+def test_check_dirac_identities_line_text(graph, p_top, lines):
+    assert dirac_lines(build_digraph_complex(graph, p_top)) == lines
+
+
+def test_dirac_square_negative_control(monkeypatch):
+    """A down Laplacian off by 1e-6 in one diagonal entry fails the square line
+    alone: the symmetry and nullity lines never read it."""
+    real = checks.down_laplacian
+
+    def perturbed(c, n, *args, **kwargs):
+        lap = real(c, n, *args, **kwargs)
+        matrix = lap.matrix.copy()
+        if matrix.size:
+            matrix[0, 0] += 1e-6
+        return dataclasses.replace(lap, matrix=matrix)
+
+    monkeypatch.setattr(checks, "down_laplacian", perturbed)
+    lines = dirac_lines(build_digraph_complex(CYCLIC, 2))
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        "FAIL dirac-square-p0: square defect 1.000e-06, nullity 2 vs 2, spectrum symmetry 2.220e-16"]
+    assert "PASS dirac-spectrum-symmetry-p0: defect 2.220e-16" in lines
+    assert "PASS dirac-nullity-identity-p0: exact 2, betti-sum form 2, float-rank form 2" in lines
+
+
+def test_dirac_nullity_negative_control(monkeypatch):
+    """A float rank one short fails every nullity line and no other line."""
+    real = checks.float_rank
+    monkeypatch.setattr(checks, "float_rank", lambda matrix: real(matrix) - 1)
+    lines = dirac_lines(build_digraph_complex(CYCLIC, 2))
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        "FAIL dirac-nullity-identity-p0: exact 2, betti-sum form 2, float-rank form 3",
+        "FAIL dirac-nullity-identity-p1: exact 2, betti-sum form 2, float-rank form 3",
+    ]
 
 GRAPH_SUITE_NAMES_P2 = [
     "boundary-composition-zero",

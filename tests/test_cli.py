@@ -1,9 +1,13 @@
 """End-to-end command-line behavior, exit codes, and output determinism."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathdirac import Digraph, build_digraph_complex, chain, cli, dirac, down_laplacian, laplacian
 from pathdirac.cli import main
@@ -354,6 +358,176 @@ def test_exit_code_catalogue(tmp_path, capsys, argv, code):
     assert len(errors) == 1 and errors[0].startswith("error:"), err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+# Valid inputs, as files (the input is "in") and the argv that follows the command.
+@st.composite
+def digraph_input(draw):
+    n = draw(st.integers(2, 5))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=6))
+    text = f"# vertices: {' '.join(map(str, range(n)))}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+    return {"in": text.encode()}, ["--kind", "digraph"]
+
+
+@st.composite
+def hypergraph_input(draw):
+    n = draw(st.integers(2, 5))
+    edges = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True),
+                          max_size=4))
+    text = f"# vertices: {' '.join(map(str, range(n)))}\n"
+    return {"in": (text + "".join(" ".join(map(str, e)) + "\n" for e in edges)).encode()}, [
+        "--kind", "hypergraph"]
+
+
+@st.composite
+def stage_list_input(draw):
+    """Two digraph stages on one vertex set, the second with at least one more edge."""
+    n = draw(st.integers(2, 4))
+    pairs = draw(st.permutations([(u, v) for u in range(n) for v in range(n) if u != v]))
+    k = draw(st.integers(0, len(pairs) - 1))
+    m = draw(st.integers(k + 1, len(pairs)))
+    head = f"# vertices: {' '.join(map(str, range(n)))}\n"
+    files = {f"s{i}.txt": (head + "".join(f"{u} {v}\n" for u, v in pairs[:cut])).encode()
+             for i, cut in ((1, k), (2, m))}
+    return {**files, "in": b"s1.txt\ns2.txt\n"}, []
+
+
+@st.composite
+def weighted_input(draw):
+    n = draw(st.integers(2, 4))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    edges = draw(st.lists(st.tuples(st.sampled_from(pairs), st.sampled_from(["0.5", "1", "1.5"])),
+                          max_size=6))
+    text = f"# thresholds: 0.5 1.5\n# vertices: {' '.join(map(str, range(n)))}\n"
+    return {"in": (text + "".join(f"{u} {v} {w}\n" for (u, v), w in edges)).encode()}, []
+
+
+@st.composite
+def molecule_input(draw):
+    """A chain of 2-4 atoms along x, each bond declared."""
+    atoms = draw(st.lists(st.sampled_from("CHNO"), min_size=2, max_size=4))
+    gaps = draw(st.lists(st.sampled_from([0.9, 1.1, 1.4]), min_size=len(atoms) - 1,
+                         max_size=len(atoms) - 1))
+    xs = [0.0, *np.cumsum(gaps)]
+    rows = "".join(f"{a} {x:.2f} 0.0 0.0\n" for a, x in zip(atoms, xs))
+    bonds = "".join(f"BOND {i} {i + 1}\n" for i in range(len(atoms) - 1))
+    return {"in": f"{len(atoms)}\nchain\n{rows}{bonds}".encode()}, ["--thresholds", "1.0", "1.5"]
+
+
+INPUTS = {
+    "complex": {"digraph": digraph_input(), "hypergraph": hypergraph_input()},
+    "dirac": {"digraph": digraph_input(), "hypergraph": hypergraph_input()},
+    "persist": {"stage-list": stage_list_input(), "weighted": weighted_input()},
+    "molecule": {"xyz": molecule_input()},
+    "check": {"digraph": digraph_input(), "hypergraph": hypergraph_input(),
+              "stage-list": stage_list_input(), "weighted": weighted_input()},
+}
+
+
+def _append(line: bytes, name: str = "in"):
+    return lambda files, argv: ({**files, name: files[name] + line}, argv)
+
+
+def _options(*extra: str):
+    return lambda files, argv: (files, [*argv, *extra])
+
+
+def _replace(old: bytes, new: bytes):
+    return lambda files, argv: ({**files, "in": files["in"].replace(old, new, 1)}, argv)
+
+
+def _zero_length_bond(files, argv):
+    lines = files["in"].decode().splitlines(keepends=True)
+    lines[3] = lines[2].replace(lines[2].split()[0], lines[3].split()[0], 1)
+    return {**files, "in": "".join(lines).encode()}, argv
+
+
+def _molecule_thresholds(files, argv):
+    return files, ["--thresholds", "1.5", "1.0"]
+
+
+# The README's exit-code catalogue as mutations: name -> (exit code, mutation),
+# by the input kind they fit and then by the options each subcommand takes.
+FILE_MUTATIONS = {
+    "digraph": {"loop": (2, _append(b"1 1\n")), "non-integer": (2, _append(b"0 x\n")),
+                "negative-id": (2, _append(b"0 -2\n"))},
+    "hypergraph": {"non-integer": (2, _append(b"0 x\n")), "negative-id": (2, _append(b"0 -2\n"))},
+    "stage-list": {"missing-stage": (2, _append(b"no-such-stage.txt\n")),
+                   "broken-nesting": (2, _replace(b"s1.txt\ns2.txt", b"s2.txt\ns1.txt")),
+                   "stage-loop": (2, _append(b"1 1\n", "s2.txt")),
+                   "stage-non-utf8": (2, _append(b"\xff\xfe\n", "s1.txt"))},
+    "weighted": {"loop": (2, _append(b"1 1 0.5\n")), "negative-id": (2, _append(b"0 -2 0.5\n")),
+                 "nan-weight": (2, _append(b"0 1 nan\n")),
+                 "nan-threshold": (2, _replace(b"0.5 1.5", b"0.5 nan")),
+                 "unordered-thresholds": (2, _replace(b"0.5 1.5", b"1.5 0.5"))},
+    "xyz": {"bad-bond-index": (2, _replace(b"BOND 0 1", b"BOND 0 9")),
+            "zero-length-bond": (2, _zero_length_bond)},
+}
+for kind in FILE_MUTATIONS.values():
+    kind["non-utf8"] = (2, _append(b"\xff\xfe\n"))
+    kind["missing-input"] = (2, lambda files, argv: ({k: v for k, v in files.items() if k != "in"},
+                                                     argv))
+OPTION_MUTATIONS = {
+    "cap-0": (3, _options("--cap", "0")),
+    "negative-p": (1, _options("--p", "-1")),
+    "tol": (1, _options("--tol", "1e-9")),
+    "jobs-0": (1, _options("--jobs", "0")),
+}
+MAX_DENSE_0 = {"dirac": 3, "persist": 3, "molecule": 3, "complex": 1, "check": 1}
+
+
+def mutations(command: str, kind: str) -> dict:
+    """Every catalogue mutation that fits this subcommand and input kind."""
+    found = {**FILE_MUTATIONS[kind], **OPTION_MUTATIONS,
+             "max-dense-0": (MAX_DENSE_0[command], _options("--max-dense", "0"))}
+    if command == "molecule":
+        found["bad-thresholds"] = (1, _molecule_thresholds)
+    return found
+
+
+CASES = [(command, kind, name) for command in sorted(INPUTS) for kind in sorted(INPUTS[command])
+         for name in sorted(mutations(command, kind))]
+
+
+def _run(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # usage errors leave through argparse
+            code = exc.code
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("command, kind, mutation", CASES, ids=["-".join(c) for c in CASES])
+@settings(max_examples=3, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_valid_input_exits_as_documented(tmp_path_factory, command, kind, mutation, data):
+    """A drawn valid input runs clean; one mutation from the exit-code catalogue
+    then ends it with the documented code, exactly one `error:` line, no
+    traceback, and no --out directory."""
+    files, options = data.draw(INPUTS[command][kind], label="input")
+    if command == "check" and kind in ("stage-list", "weighted"):
+        options = ["--kind", "filtration"]
+    code, mutate = mutations(command, kind)[mutation]
+    base = tmp_path_factory.mktemp(command)
+
+    def argv(files, options, out):
+        for file, body in files.items():
+            (base / file).write_bytes(body)
+        return [command, str(base / "in"), *options, "--out", str(base / out)]
+
+    valid = _run(argv(files, options, "valid-out"))
+    assert valid[0] == 0, valid[1]
+    for file in files:
+        (base / file).unlink()
+    got, err = _run(argv(*mutate(files, options), "out"))
+    assert got == code, err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].startswith("error:"), err
+    assert "Traceback" not in err
+    assert not (base / "out").exists()
 
 
 def test_dirac_dump_matrices_match_library(cyclic_file, tmp_path):

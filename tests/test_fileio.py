@@ -1,12 +1,15 @@
 """File parsing, manifests, serialization determinism, and the SVG writer."""
 
 import json
+import os
+import stat
 
 import pytest
 
 from pathdirac import Digraph, Filtration, StageComplexes
 from pathdirac.errors import ParseError
 from pathdirac.fileio import (
+    atomic_write_text,
     format_cell,
     grid_csv,
     grid_payload,
@@ -193,6 +196,24 @@ def _small_grid():
     s2 = Digraph.of([0, 1, 2], [(0, 1), (1, 2), (2, 0)])
     stages = StageComplexes(Filtration.of([s1, s2]), 2)
     return feature_grid(stages, 1)
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_result_file_takes_the_umask_mode(tmp_path, umask, mode):
+    """A result file gets the mode a plain write would, and no temp file stays."""
+    previous = os.umask(umask)
+    try:
+        write_json(tmp_path / "r.json", {"a": 1})
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE((tmp_path / "r.json").stat().st_mode) == mode
+    assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+
+
+def test_failed_write_leaves_no_file(tmp_path):
+    with pytest.raises(TypeError):
+        atomic_write_text(tmp_path / "r.json", None)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_grid_csv_layout(tmp_path):

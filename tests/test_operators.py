@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathdirac import Digraph, build_digraph_complex
+from pathdirac.checks import spectrum_symmetry_defect
 from pathdirac.errors import NumericalInconsistencyError, ResourceLimitError
 from pathdirac.operators import (
     TOL_WINDOW,
@@ -16,8 +17,6 @@ from pathdirac.operators import (
     features,
     float_rank,
     laplacian,
-    spectrum_symmetry_defect,
-    verify_dirac_square,
 )
 
 CYCLIC = Digraph.of([0, 1, 2], [(0, 1), (1, 2), (2, 0)])
@@ -218,21 +217,6 @@ def test_features_empty_spectrum_all_zero():
         "nullity": 3, "mean_pos": 0.0, "gen_mean": 0.0, "min_pos": 0.0,
         "max": 0.0, "sum_pos": 0.0, "std_pos": 0.0,
     }
-
-
-def test_verify_dirac_square_cyclic(cyclic_complex):
-    report = verify_dirac_square(cyclic_complex, 0)
-    assert report.passed
-    assert report.off_block_defect <= 1e-10
-    d = dirac(cyclic_complex, 0)
-    expected = np.block([[CIRCULANT, np.zeros((3, 3))], [np.zeros((3, 3)), CIRCULANT]])
-    np.testing.assert_allclose(d.matrix @ d.matrix, expected, atol=1e-12)
-
-
-def test_verify_dirac_square_vacuous_on_zero_complex():
-    c = build_digraph_complex(Digraph.of([], []), 1)
-    report = verify_dirac_square(c, 0)
-    assert report.passed
 
 
 def test_nullity_identity_on_corpus(digraph_complexes):

@@ -5,6 +5,7 @@ import contextlib
 import copy
 import io
 import random
+import re
 from pathlib import Path
 
 import numpy as np
@@ -35,12 +36,11 @@ from pathdirac import (
     persistent_betti,
     persistent_dirac,
     persistent_laplacian,
-    verify_dirac_square,
 )
 from pathdirac import persistence
 from pathdirac import rational as qa
 from pathdirac.chain import build_digraph_complex, build_hypergraph_complex, split_boundary
-from pathdirac.checks import pair_beta0
+from pathdirac.checks import check_dirac_identities, pair_beta0
 from pathdirac.cli import main
 from pathdirac.errors import StructuralError
 from pathdirac.rational import QMatrix
@@ -407,8 +407,9 @@ def test_persistent_laplacian_vertices_only_stage_a():
     stages = two_stage([], [(0, 1), (2, 3)], [0, 1, 2, 3])
     aux = auxiliary_complex(stages, 1, 2)
     pers = persistent_laplacian(aux, 0)
-    assert not pers.down.any()
-    assert np.linalg.matrix_rank(pers.up) == 2  # rank of the boundary into stage a
+    b_a = aux.stage_a.degrees[0].boundary_ortho
+    assert not (b_a.T @ b_a).any()  # the down part, from stage a's boundary
+    assert np.linalg.matrix_rank(pers.matrix) == 2  # rank of the boundary into stage a
 
 
 def test_persistent_dirac_example_stage_values():
@@ -436,11 +437,15 @@ def test_persistent_dirac_equal_pair_spectra(filtration_stage_complexes):
 
 def _persistent_nullity(aux) -> int:
     """Exact D_1 nullity of the auxiliary complex, checked against both numeric routes."""
-    report = verify_dirac_square(aux, 1)
-    assert report.float_nullity == report.exact_nullity
-    assert report.zero_count == report.exact_nullity
-    assert report.exact_nullity == sum(aux.betti(i) for i in range(2)) + aux.down_nullity(2)
-    return report.exact_nullity
+    results = check_dirac_identities(aux, [laplacian(aux, i) for i in range(aux.p_top)])
+    assert all(r.passed for r in results), [r for r in results if not r.passed]
+    line = next(r.detail for r in results if r.name == "dirac-nullity-identity-p1")
+    exact, betti_sum, float_nullity = map(int, re.findall(r"\d+", line))
+    assert float_nullity == exact == betti_sum
+    d = dirac(aux, 1)
+    assert eigen_spectrum(d.matrix, d.exact_nullity).zero_count() == exact == d.exact_nullity
+    assert exact == sum(aux.betti(i) for i in range(2)) + aux.down_nullity(2)
+    return exact
 
 
 def test_persistent_nullity_identity_cyclic_equal_pair():
