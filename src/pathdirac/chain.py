@@ -78,7 +78,7 @@ class DegreeData:
     paths: list[Path]
     omega: QMatrix  # columns: basis of the invariant subspace, path coordinates
     boundary: QMatrix | None  # exact map to the previous degree's omega basis (k >= 1);
-    # None on an auxiliary degree until AuxiliaryComplex.boundary forms it
+    # None on a degree the auxiliary complex rebuilds: nothing reads it there
     allowed: QMatrix  # boundary into path coordinates of degree k-1
     prev: DegreeData | None  # degree k-1; None at degree 0
     image: QMatrix | None = None  # stage complexes only: allowed @ omega, rows at paths of k-1
@@ -111,9 +111,6 @@ class ExactComplex:
         self.p_top = len(boundaries) - 1
         self._ranks: dict[int, int] = {}
 
-    def boundary(self, k: int) -> QMatrix:
-        return self.boundaries[k]
-
     def dim(self, k: int) -> int:
         if 0 <= k <= self.p_top:
             return self.boundaries[k].cols
@@ -128,7 +125,7 @@ class ExactComplex:
         if not 1 <= k <= self.p_top:
             return 0
         if k not in self._ranks:
-            self._ranks[k] = qa.rank(self.boundary(k))
+            self._ranks[k] = qa.rank(self.boundaries[k])
         return self._ranks[k]
 
     def betti(self, k: int) -> int:
@@ -148,17 +145,13 @@ class ExactComplex:
 class ChainComplex(ExactComplex):
     """Per-degree invariant subspaces with exact and orthonormal boundary data.
 
-    The only place ∂∂ = 0 is asserted: every stage complex is built through
-    here, so a nonzero composition never reaches an operator. The auxiliary
-    complex, whose ∂∂ = 0 follows from stage b's, passes `composition_checked`.
+    A stage complex comes from `build_complex`, which asserts ∂∂ = 0; an
+    auxiliary complex holds no exact boundary for the degrees it rebuilds.
     """
 
-    def __init__(self, degrees: list[DegreeData], composition_checked: bool = False):
+    def __init__(self, degrees: list[DegreeData]):
         super().__init__([d.boundary for d in degrees])
         self.degrees = degrees
-        for k in range(2, len(degrees)):
-            if not composition_checked and not (self.boundaries[k - 1] @ self.boundaries[k]).is_zero():
-                raise StructuralError(f"boundary composition at degree {k} is nonzero")
 
 
 def orthonormal_basis(basis: QMatrix) -> np.ndarray:
@@ -192,6 +185,8 @@ def build_complex(paths_per_degree: list[list[Path]], boundary_of=boundary_of_pa
     degree 0 is the full vertex span. The exact boundary is re-expressed in
     the previous degree's basis, which is always solvable because a boundary
     of an invariant vector is itself invariant. `boundary_of` may be a cache.
+    The only place ∂∂ = 0 is asserted, so a nonzero composition never reaches
+    an operator.
     """
     for k in range(1, len(paths_per_degree)):
         prev = set(paths_per_degree[k - 1])
@@ -214,6 +209,8 @@ def build_complex(paths_per_degree: list[list[Path]], boundary_of=boundary_of_pa
         # boundary of each basis vector, re-expressed in the previous degree's basis;
         # a basis as wide as its degree is the identity, and there the image is the boundary
         boundary = image if prev.omega.cols == len(paths_km1) else qa.solve(prev.omega, image)
+        if k >= 2 and not (prev.boundary @ boundary).is_zero():
+            raise StructuralError(f"boundary composition at degree {k} is nonzero")
         degrees.append(DegreeData(paths_k, omega, boundary, allowed, prev, image))
     return ChainComplex(degrees)
 

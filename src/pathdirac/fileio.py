@@ -16,7 +16,7 @@ import os
 import secrets
 from pathlib import Path
 
-from .errors import ParseError
+from .errors import ParseError, ResourceLimitError
 from .graphs import Digraph, Hypergraph
 from .persistence import FeatureGrid, Filtration, missing_element, threshold_problem
 
@@ -208,18 +208,24 @@ def input_digest(path) -> str:
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write a fresh temp file beside `path` (mode 0o666 less the umask), then rename it."""
+    """Write a fresh temp file beside `path` (mode 0o666 less the umask), then rename it.
+
+    A write the system refuses (a full disk, a read-only directory) is a
+    ResourceLimitError naming the path."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.parent / f".{path.name}.{secrets.token_hex(4)}.tmp"
-    fh = open(tmp, "x", encoding="utf-8", newline="\n")  # raises before creating anything
     try:
-        with fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fh = open(tmp, "x", encoding="utf-8", newline="\n")  # raises before creating anything
+        try:
+            with fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise ResourceLimitError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def result_document(command: str, source, payload: dict) -> dict:

@@ -119,27 +119,20 @@ class AuxiliaryComplex(ChainComplex):
     """Preimage complex of a stage pair (a <= b), in stage-b coordinates.
 
     Degree k holds the stage-b vectors whose boundary lies in the stage-a
-    space; its Betti numbers and Dirac operator are those of any complex.
-    ∂∂ = 0 is implied, not re-checked: c_{k-2} X_{k-1} X_k = ∂∂ c_k = 0 for the
-    bases c and the exact boundaries X, and c_{k-2} has full column rank. Where
-    degree k-1 is stage b's own, X_k = ∂_k(b) c_k is formed on first read only.
+    space; its Betti numbers and Dirac operator are those of any complex. It
+    holds bases, dimensions, closed-form ranks and float blocks; a degree it
+    rebuilds has no exact boundary, since nothing reads one, and its ∂∂ = 0
+    follows from stage b's.
     """
 
-    def __init__(self, a: int, b: int, stage_a: ChainComplex, stage_b: ChainComplex,
+    def __init__(self, stage_a: ChainComplex, stage_b: ChainComplex,
                  c_bases: list[QMatrix], degrees: list[DegreeData]):
-        super().__init__(degrees, composition_checked=True)
-        self.a, self.b = a, b
+        super().__init__(degrees)
         self.stage_a, self.stage_b = stage_a, stage_b
         self.c_bases = c_bases  # auxiliary space bases in the stage-b basis
 
     def dim(self, k: int) -> int:
         return self.c_bases[k].cols if 0 <= k <= self.p_top else 0
-
-    def boundary(self, k: int) -> QMatrix:
-        if self.boundaries[k] is None:  # threads racing here store the same matrix
-            self.boundaries[k] = self.degrees[k].boundary = (
-                self.stage_b.degrees[k].boundary @ self.c_bases[k])
-        return self.boundaries[k]
 
     def boundary_rank(self, k: int) -> int:
         """dim C_k - dim ker ∂_k(b): every stage-b cycle lies in C_k, so they share a kernel."""
@@ -169,12 +162,9 @@ def auxiliary_complex(stages: StageComplexes, a: int, b: int) -> AuxiliaryComple
             degrees.append(d_k)
             continue
         c_bases.append(qa.preimage_basis(leave, QMatrix(leave.rows, 0)))
-        # c_{k-1} = I: AuxiliaryComplex.boundary forms ∂_k(b) c_k if read; else solve checks it
-        boundary = (None if degrees[k - 1] is prev
-                    else qa.solve(c_bases[k - 1], d_k.boundary @ c_bases[k]))
-        degrees.append(DegreeData(d_k.paths, d_k.omega @ c_bases[k], boundary, d_k.allowed,
+        degrees.append(DegreeData(d_k.paths, d_k.omega @ c_bases[k], None, d_k.allowed,
                                   degrees[k - 1], stage=d_k))
-    return AuxiliaryComplex(a, b, ca, cb, c_bases, degrees)
+    return AuxiliaryComplex(ca, cb, c_bases, degrees)
 
 
 def persistent_dirac(aux: AuxiliaryComplex, p: int,

@@ -14,8 +14,6 @@ from oracles import (
 from pathdirac import Digraph, Hypergraph, boundary_of_path, dirac, laplacian
 from pathdirac import rational as qa
 from pathdirac.chain import (
-    ChainComplex,
-    DegreeData,
     build_complex,
     build_digraph_complex,
     build_hypergraph_complex,
@@ -97,16 +95,14 @@ def test_boundary_composes_to_zero_on_corpus(digraph_complexes):
             assert (c.degrees[k - 1].boundary @ c.degrees[k].boundary).is_zero()
 
 
-def test_chain_complex_rejects_nonzero_composition():
-    # one vertex, one edge, one 2-chain, each boundary the 1x1 identity: ∂1 ∂2 = 1
-    def degree(prev):
-        boundary = QMatrix(0, 1) if prev is None else QMatrix.identity(1)
-        return DegreeData([], QMatrix.identity(1), boundary, boundary, prev)
+def test_build_complex_rejects_nonzero_composition():
+    # the 2-path (0, 1, 0) is given the boundary (0, 1), whose own boundary is 1 - 0
+    def boundary_of(path):
+        return {(0, 1): 1} if path == (0, 1, 0) else boundary_of_path(path)
 
-    d0 = degree(None)
-    d1 = degree(d0)
+    paths = [[(0,), (1,)], [(0, 1), (1, 0)], [(0, 1, 0)]]
     with pytest.raises(StructuralError, match="boundary composition at degree 2 is nonzero"):
-        ChainComplex([d0, d1, degree(d1)])
+        build_complex(paths, boundary_of)
 
 
 def test_each_boundary_is_ranked_once(digraph_corpus, monkeypatch):

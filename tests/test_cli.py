@@ -1,15 +1,17 @@
 """End-to-end command-line behavior, exit codes, and output determinism."""
 
 import contextlib
+import errno
 import io
 import json
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathdirac import Digraph, build_digraph_complex, chain, cli, dirac, down_laplacian, laplacian
+from pathdirac import Digraph, build_digraph_complex, chain, cli, dirac, down_laplacian, fileio, laplacian
 from pathdirac.cli import main
 from pathdirac.rational import QMatrix
 
@@ -826,3 +828,17 @@ def test_refused_allocation_is_resource_error(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "error: out of memory: Unable to allocate 395. MiB" in err
     assert "Traceback" not in err
+
+
+def test_refused_result_write_is_resource_error(cyclic_file, tmp_path, capsys, monkeypatch):
+    def disk_full(*args):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    out = tmp_path / "out"
+    monkeypatch.setattr(fileio.os, "replace", disk_full)
+    assert main(["complex", str(cyclic_file), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        f"error: cannot write {out / 'cyclic.complex.json'}: No space left on device"]
+    assert "Traceback" not in err
+    assert not list(out.rglob("*.tmp"))

@@ -40,7 +40,7 @@ from pathdirac import (
 from pathdirac import persistence
 from pathdirac import rational as qa
 from pathdirac.chain import build_digraph_complex, build_hypergraph_complex, split_boundary
-from pathdirac.checks import check_dirac_identities, pair_beta0
+from pathdirac.checks import check_dirac_identities, filtration_check_suite, pair_beta0
 from pathdirac.cli import main
 from pathdirac.errors import StructuralError
 from pathdirac.rational import QMatrix
@@ -163,11 +163,11 @@ def assert_stage_images(stages: StageComplexes) -> None:
 
 
 def assert_matches_preimage_route(stages: StageComplexes) -> int:
-    """Every pair's bases and exact boundaries equal the preimage route's, each
-    closed-form boundary rank equals the sympy rank of that route's boundary,
-    every composition of auxiliary boundaries is zero (the complex does not
-    check it when built), and stage a's space lies in the auxiliary space at
-    every degree."""
+    """Every pair's bases equal the preimage route's, each closed-form boundary
+    rank equals the sympy rank of that route's boundary (which its Gauss-Jordan
+    re-expression forms only if ∂C_k lies in C_{k-1}), every composition of the
+    route's boundaries is zero (the auxiliary complex neither forms nor checks
+    one), and stage a's space lies in the auxiliary space at every degree."""
     assert_stage_images(stages)
     n = len(stages)
     for a in range(1, n + 1):
@@ -175,12 +175,10 @@ def assert_matches_preimage_route(stages: StageComplexes) -> int:
             aux = auxiliary_complex(stages, a, b)
             bases, boundaries = oracle_auxiliary_route(stages, a, b)
             assert aux.c_bases == bases
-            assert [aux.boundary(k) for k in range(aux.p_top + 1)] == boundaries
-            assert [d.boundary for d in aux.degrees] == boundaries
             for k in range(1, aux.p_top + 1):
                 assert aux.boundary_rank(k) == sympy_rank(boundaries[k])
             for k in range(2, aux.p_top + 1):
-                assert (aux.boundary(k - 1) @ aux.boundary(k)).is_zero()
+                assert (boundaries[k - 1] @ boundaries[k]).is_zero()
             for k, stage_a in enumerate(oracle_a_in_b(stages, a, b)):
                 assert is_subspace(stage_a, aux.c_bases[k])
     return n * (n + 1) // 2
@@ -570,39 +568,29 @@ def test_grid_leaves_shared_stage_data_unchanged(molecule_stage_complexes):
 
 def test_feature_grid_ranks_only_stage_boundaries(monkeypatch):
     """Each stage boundary is ranked once, no auxiliary boundary is ranked, and
-    no solve (stage or auxiliary boundary) runs Gauss-Jordan."""
+    neither the grid nor the filtration checks solve for any boundary."""
     rng = random.Random(7007)
     edges = [(u, v) for u in range(7) for v in range(7) if u != v and rng.random() < 0.35]
     rng.shuffle(edges)
-    f = Filtration.of([Digraph.of(range(7), edges[: round(i * len(edges) / 7)])
-                       for i in range(1, 8)])
-    calls = {"rank": 0, "rref": 0, "rref_in_solve": 0}
-    in_solve = [False]
-    real_rank, real_rref, real_solve = qa.rank, qa.rref, qa.solve
-
-    def rank(m):
-        calls["rank"] += 1
-        return real_rank(m)
-
-    def rref(*args, **kwargs):
-        calls["rref"] += 1
-        calls["rref_in_solve"] += in_solve[0]
-        return real_rref(*args, **kwargs)
-
-    def solve(a, b):
-        in_solve[0] = True
-        try:
-            return real_solve(a, b)
-        finally:
-            in_solve[0] = False
-
-    monkeypatch.setattr(qa, "rank", rank)
-    monkeypatch.setattr(qa, "rref", rref)
-    monkeypatch.setattr(qa, "solve", solve)
-    grid = feature_grid(StageComplexes(f, 2), 1)
-    assert len(grid.cells) == 28
-    assert calls["rank"] == 7 * 2
-    assert calls["rref"] > 0 and calls["rref_in_solve"] == 0
+    random_growth = Filtration.of([Digraph.of(range(7), edges[: round(i * len(edges) / 7)])
+                                   for i in range(1, 8)])
+    # stage 2 adds vertex 2, so the pair (1, 2) rebuilds C_1 rather than reuse stage 2's
+    growing_vertices = Filtration.of([Digraph.of([0, 1], [(0, 1)]), CYCLIC])
+    calls = collections.Counter()
+    for name in ("rank", "rref", "solve"):
+        real = getattr(qa, name)
+        monkeypatch.setattr(qa, name, lambda *args, real=real, name=name, **kwargs:
+                            calls.update([name]) or real(*args, **kwargs))
+    for f in (random_growth, growing_vertices):
+        stages = StageComplexes(f, 2)
+        calls.clear()
+        grid = feature_grid(stages, 1)
+        n = len(f)
+        assert len(grid.cells) == n * (n + 1) // 2
+        assert calls["rank"] == n * 2
+        assert calls["rref"] > 0 and calls["solve"] == 0
+        filtration_check_suite(stages, 1)
+        assert calls["solve"] == 0
 
 
 def test_feature_grid_rejects_unknown_feature():
@@ -706,12 +694,9 @@ def test_stages_form_each_path_boundary_once(monkeypatch):
 
 
 def test_molecule_grid_op_skips_unread_exact_work(monkeypatch):
-    """One molecule-grid op makes at most 42 RREFs and 35 exact products, and an
-    auxiliary boundary over stage b's own degree 1 is formed only when read."""
+    """One molecule-grid op makes at most 42 RREFs and 35 exact products."""
     counts = {"rref": 0, "matmul": 0}
     real_rref, real_matmul = qa.rref, QMatrix.__matmul__
-    made = []
-    real_aux = persistence.auxiliary_complex
 
     def rref(*args, **kwargs):
         counts["rref"] += 1
@@ -723,18 +708,6 @@ def test_molecule_grid_op_skips_unread_exact_work(monkeypatch):
 
     monkeypatch.setattr(qa, "rref", rref)
     monkeypatch.setattr(QMatrix, "__matmul__", matmul)
-    monkeypatch.setattr(persistence, "auxiliary_complex",
-                        lambda *args: made.append(real_aux(*args)) or made[-1])
-    stages = StageComplexes(molecule_filtration(), 2)
-    grid = feature_grid(stages, 1)
-    assert len(grid.cells) == len(made) == 28
+    grid = feature_grid(StageComplexes(molecule_filtration(), 2), 1)
+    assert len(grid.cells) == 28
     assert counts["rref"] <= 42 and counts["matmul"] <= 35
-    deferred = [aux for aux in made if aux.a < aux.b]
-    assert len(deferred) == 21
-    assert all(aux.boundaries[2] is None and aux.degrees[2].boundary is None for aux in deferred)
-    counts["matmul"] = 0
-    for aux in deferred:
-        formed = aux.boundary(2)
-        assert formed == stages.stage(aux.b).degrees[2].boundary @ aux.c_bases[2]
-        assert aux.boundary(2) is formed is aux.degrees[2].boundary
-    assert counts["matmul"] == 2 * 21  # one deferred product per pair, one by the check
