@@ -27,12 +27,8 @@ from .graphs import (
     Digraph,
     Hypergraph,
     UndirectedGraph,
-    anchor_paths,
-    anchor_paths_hypergraph,
     essential_graph,
-    h1_rank_digraph,
-    h1_rank_hypergraph,
-    maximal_hyperedges,
+    h1_rank,
     symmetric_closure,
 )
 from .molecules import (
@@ -90,8 +86,6 @@ __all__ = [
     "StructuralError",
     "UndirectedGraph",
     "WeightedDigraph",
-    "anchor_paths",
-    "anchor_paths_hypergraph",
     "auxiliary_complex",
     "bond_digraph",
     "boundary_of_path",
@@ -105,12 +99,10 @@ __all__ = [
     "essential_graph",
     "feature_grid",
     "features",
-    "h1_rank_digraph",
-    "h1_rank_hypergraph",
+    "h1_rank",
     "infimum_complex",
     "laplacian",
     "load_molecule",
-    "maximal_hyperedges",
     "parse_xyz",
     "persistent_betti",
     "persistent_dirac",

@@ -22,15 +22,7 @@ from .chain import (
     omega2_generators_fast,
     supremum_complex,
 )
-from .graphs import (
-    Digraph,
-    Hypergraph,
-    essential_graph,
-    h1_rank_digraph,
-    h1_rank_hypergraph,
-    symmetric_closure,
-    underlying_graph,
-)
+from .graphs import Digraph, Hypergraph, essential_graph, h1_rank, symmetric_closure, underlying_graph
 from .operators import (DEFAULT_DENSE_LIMIT, Laplacian, Spectrum, dirac, down_laplacian,
                         eigen_spectrum, float_rank, guard_size, laplacian)
 from .persistence import StageComplexes, auxiliary_complex, persistent_laplacian
@@ -97,15 +89,15 @@ def check_exact_vs_float_ranks(c: ChainComplex, laps: list[Laplacian]) -> CheckR
     return _result("exact-vs-float-rank", worst == 0, f"max rank disagreement {worst}")
 
 
-def check_h1_formula(graph: Digraph | Hypergraph, c: ChainComplex) -> CheckResult:
-    """Closed-form degree-1 rank against the rank-nullity Betti number."""
+def check_h1_formula(g: Digraph, c: ChainComplex) -> CheckResult:
+    """Closed-form degree-1 rank of walk digraph g against the rank-nullity Betti number.
+
+    Omega_1 is spanned by the edges, so betti_1 = |E| - rank d_1 - rank d_2 and
+    this judges the exact rank d_1 against |V| - |C| from union-find.
+    """
     if c.p_top < 2:
         return _result("h1-closed-form", True, "skipped: complex not built to degree 2")
-    rank_d2 = c.boundary_rank(2)
-    if isinstance(graph, Digraph):
-        formula = h1_rank_digraph(graph, rank_d2)
-    else:
-        formula = h1_rank_hypergraph(graph, rank_d2)
+    formula = h1_rank(g, c.boundary_rank(2))
     betti1 = c.betti(1)
     return _result("h1-closed-form", formula == betti1, f"formula {formula}, betti {betti1}")
 
@@ -127,11 +119,10 @@ def check_omega_against_infimum(c: ChainComplex, submods: list[qa.QMatrix],
     return _result("omega-vs-infimum", True, "identical spans at every degree")
 
 
-def check_degree2_fast_path(graph: Digraph | Hypergraph, c: ChainComplex) -> CheckResult:
-    """Triangle/square generators span the kernel-method degree-2 space."""
+def check_degree2_fast_path(g: Digraph, c: ChainComplex) -> CheckResult:
+    """Triangle/square generators of walk digraph g span the kernel-method degree-2 space."""
     if c.p_top < 2:
         return _result("degree2-fast-path", True, "skipped: complex not built to degree 2")
-    g = graph if isinstance(graph, Digraph) else symmetric_closure(essential_graph(graph))
     fast = omega2_generators_fast(g, c.degrees[2].paths)
     ok = qa.spans_equal(fast, c.degrees[2].omega)
     return _result("degree2-fast-path", ok, f"fast dim {qa.rank(fast)}, kernel dim {c.dim(2)}")
@@ -139,6 +130,8 @@ def check_degree2_fast_path(graph: Digraph | Hypergraph, c: ChainComplex) -> Che
 
 def graph_check_suite(graph: Digraph | Hypergraph, c: ChainComplex) -> list[CheckResult]:
     guard_size(sum(map(c.dim, range(c.p_top + 1))), DEFAULT_DENSE_LIMIT)  # largest Dirac first
+    # the walk digraph; a hypergraph's is the symmetric closure of its essential graph
+    g = graph if isinstance(graph, Digraph) else symmetric_closure(essential_graph(graph))
     # The anchor spans inside their deletion closure, and the largest subcomplex
     # they contain, back both the omega and the embedded-homology checks.
     paths = [d.paths for d in c.degrees]
@@ -146,14 +139,14 @@ def graph_check_suite(graph: Digraph | Hypergraph, c: ChainComplex) -> list[Chec
     submods = [embed_paths(ps, ambient.labels[k]) for k, ps in enumerate(paths)]
     inf = infimum_complex(ambient, submods)
     laps = [laplacian(c, i) for i in range(c.p_top)]  # shared by the square and rank checks
-    # ∂∂ = 0 is not recomputed: `ChainComplex` raises a StructuralError (exit 4)
+    # ∂∂ = 0 is not recomputed: `build_complex` raises a StructuralError (exit 4)
     # on a nonzero composition, so c satisfies it.
     results = [_result("boundary-composition-zero", True, "exact at all degrees")]
     results.extend(check_dirac_identities(c, laps))
     results.append(check_exact_vs_float_ranks(c, laps))
-    results.append(check_h1_formula(graph, c))
+    results.append(check_h1_formula(g, c))
     results.append(check_omega_against_infimum(c, submods, inf))
-    results.append(check_degree2_fast_path(graph, c))
+    results.append(check_degree2_fast_path(g, c))
     results.append(check_embedded_homology(ambient, submods, inf))
     return results
 

@@ -9,6 +9,7 @@ byte-identical outputs and failures never leave partial files behind.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -211,10 +212,12 @@ def atomic_write_text(path, text: str) -> None:
     """Write a fresh temp file beside `path` (mode 0o666 less the umask), then rename it.
 
     A write the system refuses (a full disk, a read-only directory) is a
-    ResourceLimitError naming the path."""
+    ResourceLimitError naming the path; it leaves no directory this call made."""
     path = Path(path)
     tmp = path.parent / f".{path.name}.{secrets.token_hex(4)}.tmp"
+    made: list[Path] = []  # the missing ancestors mkdir creates, deepest first
     try:
+        made = [d for d in (path.parent, *path.parent.parents) if not d.exists()]
         path.parent.mkdir(parents=True, exist_ok=True)
         fh = open(tmp, "x", encoding="utf-8", newline="\n")  # raises before creating anything
         try:
@@ -225,6 +228,9 @@ def atomic_write_text(path, text: str) -> None:
             tmp.unlink(missing_ok=True)
             raise
     except OSError as exc:
+        for d in made:  # rmdir keeps a directory that is not empty
+            with contextlib.suppress(OSError):
+                d.rmdir()
         raise ResourceLimitError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 

@@ -1,7 +1,8 @@
 """Combinatorial graph structures and anchor-path enumeration.
 
 Digraphs, hypergraphs, and their essential/underlying graphs, plus the
-walk (anchor sequence) enumeration that seeds every chain complex here.
+walk (anchor sequence) enumeration that seeds every chain complex here and
+the degree-1 closed form of a walk digraph.
 All containers are immutable and deterministically ordered so that the
 matrices built on top of them are bit-reproducible.
 """
@@ -115,16 +116,6 @@ def essential_graph(h: Hypergraph) -> UndirectedGraph:
     return UndirectedGraph(h.vertices, tuple(sorted(edges)))
 
 
-def maximal_hyperedges(h: Hypergraph) -> Hypergraph:
-    """Drop every hyperedge strictly contained in another one."""
-    sets = [frozenset(e) for e in h.hyperedges]
-    keep = []
-    for i, e in enumerate(sets):
-        if not any(i != j and e < f for j, f in enumerate(sets)):
-            keep.append(h.hyperedges[i])
-    return Hypergraph(h.vertices, tuple(sorted(keep)))
-
-
 def symmetric_closure(g: UndirectedGraph) -> Digraph:
     """Two directed edges per undirected edge; walk sets are preserved."""
     return Digraph(g.vertices, tuple(sorted([*g.edges, *((v, u) for u, v in g.edges)])))
@@ -135,16 +126,17 @@ def underlying_graph(g: Digraph) -> UndirectedGraph:
 
 
 def anchor_paths(g: Digraph, p: int, cap: int = DEFAULT_PATH_CAP) -> list[tuple[int, ...]]:
-    """All anchor sequences of length p, lexicographically sorted.
-
-    A degree-p anchor sequence is (v0, ..., vp) with every (v_{i-1}, v_i) a
-    directed edge; p = 0 yields the vertices, isolated ones included.
-    """
+    """Row p of `anchor_path_table` (perfbench/baselines.py reads it)."""
     return anchor_path_table(g, p, cap)[p]
 
 
 def anchor_path_table(g: Digraph, p_top: int, cap: int = DEFAULT_PATH_CAP) -> list[list[tuple[int, ...]]]:
-    """Anchor sequences for every degree 0..p_top (each list sorted)."""
+    """Anchor sequences for every degree 0..p_top, each list sorted lexicographically.
+
+    A degree-p anchor sequence is (v0, ..., vp) with every (v_{i-1}, v_i) a
+    directed edge; degree 0 lists the vertices, isolated ones included. A
+    hypergraph's sequences are those of `symmetric_closure(essential_graph(h))`.
+    """
     if p_top < 0:
         raise ValueError("degree must be non-negative")
     succ = g.successors()
@@ -162,11 +154,6 @@ def anchor_path_table(g: Digraph, p_top: int, cap: int = DEFAULT_PATH_CAP) -> li
     return table
 
 
-def anchor_paths_hypergraph(h: Hypergraph, p: int, cap: int = DEFAULT_PATH_CAP) -> list[tuple[int, ...]]:
-    """Anchor sequences of a hypergraph: consecutive vertices co-contained in a hyperedge."""
-    return anchor_paths(symmetric_closure(essential_graph(h)), p, cap)
-
-
 def _check_cap(count: int, degree: int, cap: int) -> None:
     if count > cap:
         raise ResourceLimitError(
@@ -175,38 +162,13 @@ def _check_cap(count: int, degree: int, cap: int) -> None:
         )
 
 
-def reciprocal_pair_count(g: Digraph) -> int:
-    """Number of unordered pairs {u, v} with both u->v and v->u present."""
-    eset = set(g.edges)
-    return sum(1 for (u, v) in g.edges if u < v and (v, u) in eset)
+def h1_rank(g: Digraph, rank_d2: int) -> int:
+    """Degree-1 Betti number |E| - |V| + |C| - rank_d2 of a walk digraph, C its weak components.
 
-
-def h1_upper_bound_digraph(g: Digraph) -> int:
-    """|E'| - |V'| + |C'| + |S| over the underlying graph, S the reciprocal pairs."""
-    ug = underlying_graph(g)
-    return len(ug.edges) - len(ug.vertices) + ug.component_count() + reciprocal_pair_count(g)
-
-
-def h1_rank_digraph(g: Digraph, rank_d2: int) -> int:
-    """Rank of degree-1 homology from the closed-form count minus rank of the degree-2 boundary."""
-    value = h1_upper_bound_digraph(g) - rank_d2
+    Omega_1 is spanned by the edges and rank d_1 = |V| - |C|. A hypergraph's
+    walk digraph is the symmetric closure of its essential graph.
+    """
+    value = len(g.edges) - len(g.vertices) + underlying_graph(g).component_count() - rank_d2
     if value < 0:
-        raise StructuralError(
-            f"digraph degree-1 rank formula produced {value} < 0 (rank_d2={rank_d2})"
-        )
-    return value
-
-
-def h1_upper_bound_hypergraph(h: Hypergraph) -> int:
-    """2|E| - |V| + |C| over the essential graph."""
-    eg = essential_graph(h)
-    return 2 * len(eg.edges) - len(h.vertices) + eg.component_count()
-
-
-def h1_rank_hypergraph(h: Hypergraph, rank_d2: int) -> int:
-    value = h1_upper_bound_hypergraph(h) - rank_d2
-    if value < 0:
-        raise StructuralError(
-            f"hypergraph degree-1 rank formula produced {value} < 0 (rank_d2={rank_d2})"
-        )
+        raise StructuralError(f"degree-1 rank formula produced {value} < 0 (rank_d2={rank_d2})")
     return value

@@ -36,16 +36,16 @@ from pathdirac import (
     eigen_spectrum,
     essential_graph,
     feature_grid,
-    h1_rank_hypergraph,
+    h1_rank,
     laplacian,
     parse_xyz,
     persistent_dirac,
     persistent_laplacian,
+    symmetric_closure,
 )
 from pathdirac import rational as qa
 from pathdirac.chain import deletion_closure_complex, embed_paths, infimum_complex, supremum_complex
 from pathdirac.checks import spectrum_symmetry_defect
-from pathdirac.graphs import h1_rank_digraph, h1_upper_bound_hypergraph
 from pathdirac.operators import features, float_rank
 
 SQRT3 = np.sqrt(3.0)
@@ -184,10 +184,11 @@ def test_two_triangle_hypergraph_rank_arithmetic():
     h = Hypergraph.of(range(6), [(0, 1, 2), (3, 4, 5)])
     eg = essential_graph(h)
     assert (len(eg.vertices), len(eg.edges), eg.component_count()) == (6, 6, 2)
-    assert h1_upper_bound_hypergraph(h) == 8
+    closure = symmetric_closure(eg)
+    assert h1_rank(closure, 0) == 8
     c = build_hypergraph_complex(h, 2)
     assert c.boundary_rank(2) == 8
-    assert h1_rank_hypergraph(h, c.boundary_rank(2)) == 0
+    assert h1_rank(closure, c.boundary_rank(2)) == 0
     assert c.betti(1) == 0
     _record("two-triangle-hypergraph-rank-arithmetic", started)
 
@@ -216,9 +217,9 @@ def test_property_nullity_identity_exact(digraph_complexes, hypergraph_complexes
 def test_property_degree1_rank_formulas(digraph_complexes, hypergraph_complexes):
     started = time.monotonic()
     for g, c in digraph_complexes:
-        assert h1_rank_digraph(g, c.boundary_rank(2)) == c.betti(1)
+        assert h1_rank(g, c.boundary_rank(2)) == c.betti(1)
     for h, c in hypergraph_complexes:
-        assert h1_rank_hypergraph(h, c.boundary_rank(2)) == c.betti(1)
+        assert h1_rank(symmetric_closure(essential_graph(h)), c.boundary_rank(2)) == c.betti(1)
     _record("property-degree1-rank-formulas", started)
 
 

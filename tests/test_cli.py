@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathdirac import Digraph, build_digraph_complex, chain, cli, dirac, down_laplacian, fileio, laplacian
+from pathdirac import (Digraph, UndirectedGraph, build_digraph_complex, chain, cli, dirac, down_laplacian,
+                       fileio, laplacian)
 from pathdirac.cli import main
 from pathdirac.rational import QMatrix
 
@@ -174,6 +175,18 @@ def test_check_negative_control(cyclic_file, capsys, shifted_laplacian):
     assert main(["check", str(cyclic_file)]) == 4
     out = capsys.readouterr().out
     assert "FAIL dirac-square-p0:" in out
+
+
+@pytest.mark.parametrize("kind, text", [("digraph", CYCLIC), ("hypergraph", "0 1 2\n2 3\n")])
+def test_check_h1_negative_control(tmp_path, capsys, monkeypatch, kind, text):
+    # both kinds reach the one degree-1 closed form, so a miscounted component fails both
+    real = UndirectedGraph.component_count
+    monkeypatch.setattr(UndirectedGraph, "component_count", lambda self: real(self) + 1)
+    path = tmp_path / "g.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main(["check", str(path), "--kind", kind]) == 4
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert [line.split(":")[0] for line in fails] == ["FAIL h1-closed-form"]
 
 
 def test_check_filtration(tmp_path, capsys):
@@ -834,11 +847,16 @@ def test_refused_result_write_is_resource_error(cyclic_file, tmp_path, capsys, m
     def disk_full(*args):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-    out = tmp_path / "out"
     monkeypatch.setattr(fileio.os, "replace", disk_full)
-    assert main(["complex", str(cyclic_file), "--out", str(out)]) == 3
-    err = capsys.readouterr().err
-    assert [line for line in err.splitlines() if line.startswith("error:")] == [
-        f"error: cannot write {out / 'cyclic.complex.json'}: No space left on device"]
-    assert "Traceback" not in err
-    assert not list(out.rglob("*.tmp"))
+    # the directories this write makes go with it; one that was already there stays
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    for out in (tmp_path / "fullout" / "nested", kept):
+        assert main(["complex", str(cyclic_file), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: cannot write {out / 'cyclic.complex.json'}: No space left on device"]
+        assert "Traceback" not in err
+        assert not list(tmp_path.rglob("*.tmp"))
+    assert not (tmp_path / "fullout").exists()
+    assert kept.is_dir() and not list(kept.iterdir())

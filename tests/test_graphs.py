@@ -1,4 +1,4 @@
-"""Graph structures, anchor-path enumeration, and the degree-1 rank formulas."""
+"""Graph structures, anchor-path enumeration, and the degree-1 rank formula."""
 
 import pytest
 
@@ -12,24 +12,24 @@ from pathdirac import (
     Digraph,
     Hypergraph,
     UndirectedGraph,
-    anchor_paths,
-    anchor_paths_hypergraph,
     essential_graph,
-    h1_rank_digraph,
-    h1_rank_hypergraph,
-    maximal_hyperedges,
+    h1_rank,
     symmetric_closure,
 )
 from pathdirac.chain import build_digraph_complex, build_hypergraph_complex
 from pathdirac.errors import ParseError, ResourceLimitError, StructuralError
-from pathdirac.graphs import (
-    h1_upper_bound_hypergraph,
-    reciprocal_pair_count,
-    underlying_graph,
-)
+from pathdirac.graphs import DEFAULT_PATH_CAP, anchor_path_table, anchor_paths, underlying_graph
 
 CYCLIC = Digraph.of([0, 1, 2], [(0, 1), (1, 2), (2, 0)])
 TRANSITIVE = Digraph.of([0, 1, 2], [(0, 1), (1, 2), (0, 2)])
+
+
+def walks(g, p, cap=DEFAULT_PATH_CAP):
+    return anchor_path_table(g, p, cap)[p]
+
+
+def closure(h):
+    return symmetric_closure(essential_graph(h))
 
 
 def test_digraph_rejects_loops():
@@ -48,26 +48,27 @@ def test_negative_vertex_ids_rejected():
 
 def test_isolated_vertices_kept_in_degree_zero():
     g = Digraph.of([0, 1, 2, 5], [(0, 1)])
-    assert anchor_paths(g, 0) == [(0,), (1,), (2,), (5,)]
+    assert walks(g, 0) == [(0,), (1,), (2,), (5,)]
 
 
 def test_anchor_paths_cyclic_triangle():
-    assert anchor_paths(CYCLIC, 2) == [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
+    assert walks(CYCLIC, 2) == [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
 
 
 def test_anchor_paths_transitive_triangle():
-    assert anchor_paths(TRANSITIVE, 2) == [(0, 1, 2)]
+    assert walks(TRANSITIVE, 2) == [(0, 1, 2)]
 
 
 def test_anchor_paths_no_edges():
     g = Digraph.of([0, 1, 2], [])
-    assert anchor_paths(g, 1) == []
+    assert walks(g, 1) == []
 
 
 def test_anchor_paths_sorted_and_distinct_consecutive():
     g = Digraph.of(range(5), [(0, 1), (1, 0), (1, 2), (2, 3), (3, 1), (0, 4)])
     for p in range(4):
-        paths = anchor_paths(g, p)
+        paths = walks(g, p)
+        assert paths == anchor_paths(g, p)
         assert paths == sorted(paths)
         assert paths == brute_anchor_paths_digraph(g, p)
         for path in paths:
@@ -77,34 +78,33 @@ def test_anchor_paths_sorted_and_distinct_consecutive():
 def test_anchor_path_cap():
     g = symmetric_closure(essential_graph(Hypergraph.of(range(6), [tuple(range(6))])))
     with pytest.raises(ResourceLimitError):
-        anchor_paths(g, 6, cap=100)
+        walks(g, 6, cap=100)
 
 
 def test_hypergraph_anchor_paths_single_hyperedge():
     h = Hypergraph.of([0, 1, 2], [(0, 1, 2)])
-    assert anchor_paths_hypergraph(h, 1) == [
+    assert walks(closure(h), 1) == [
         (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1),
     ]
 
 
 def test_hypergraph_anchor_paths_singletons():
     h = Hypergraph.of([0, 1], [(0,), (1,)])
-    assert anchor_paths_hypergraph(h, 1) == []
+    assert walks(closure(h), 1) == []
 
 
 def test_hypergraph_anchor_paths_two_edges_degree_two():
     h = Hypergraph.of([0, 1, 2], [(0, 1), (1, 2)])
-    assert anchor_paths_hypergraph(h, 2) == [
+    assert walks(closure(h), 2) == [
         (0, 1, 0), (0, 1, 2), (1, 0, 1), (1, 2, 1), (2, 1, 0), (2, 1, 2),
     ]
 
 
 def test_anchor_path_consistency_on_corpus(hypergraph_corpus):
     for h in hypergraph_corpus[:60]:
-        closure = symmetric_closure(essential_graph(h))
+        table = anchor_path_table(closure(h), 2)
         for p in range(3):
-            assert anchor_paths_hypergraph(h, p) == anchor_paths(closure, p)
-            assert anchor_paths_hypergraph(h, p) == brute_anchor_paths_hypergraph(h, p)
+            assert table[p] == brute_anchor_paths_hypergraph(h, p)
 
 
 def test_essential_graph_triangle():
@@ -127,20 +127,6 @@ def test_essential_graph_two_components():
     assert eg.component_count() == 2
 
 
-def test_maximal_hyperedges():
-    h = Hypergraph.of([0, 1, 2], [(0, 1), (0, 1, 2)])
-    assert maximal_hyperedges(h).hyperedges == ((0, 1, 2),)
-    incomparable = Hypergraph.of([0, 1, 2, 3], [(0, 1), (2, 3)])
-    assert maximal_hyperedges(incomparable) == incomparable
-    nested = Hypergraph.of([0, 1, 2], [(0,), (0, 1), (1, 2), (0, 1, 2)])
-    assert maximal_hyperedges(nested).hyperedges == ((0, 1, 2),)
-
-
-def test_maximal_reduction_preserves_essential_graph(hypergraph_corpus):
-    for h in hypergraph_corpus:
-        assert essential_graph(maximal_hyperedges(h)) == essential_graph(h)
-
-
 def test_symmetric_closure():
     assert symmetric_closure(UndirectedGraph.of([0, 1], [(0, 1)])).edges == ((0, 1), (1, 0))
     assert symmetric_closure(UndirectedGraph.of([], [])).edges == ()
@@ -149,49 +135,50 @@ def test_symmetric_closure():
 
 
 def test_reciprocal_pairs():
-    assert reciprocal_pair_count(CYCLIC) == 0
-    g = Digraph.of([0, 1, 2], [(0, 1), (1, 0), (1, 2)])
-    assert reciprocal_pair_count(g) == 1
+    # a reciprocal pair is two edges of the walk digraph, so it adds one to the count
+    assert h1_rank(CYCLIC, 0) == 1
+    assert h1_rank(Digraph.of([0, 1, 2], [(0, 1), (1, 2)]), 0) == 0
+    assert h1_rank(Digraph.of([0, 1, 2], [(0, 1), (1, 0), (1, 2)]), 0) == 1
 
 
 def test_h1_formula_cyclic_triangle():
-    assert h1_rank_digraph(CYCLIC, rank_d2=0) == 1
+    assert h1_rank(CYCLIC, rank_d2=0) == 1
 
 
 def test_h1_formula_transitive_triangle():
-    assert h1_rank_digraph(TRANSITIVE, rank_d2=1) == 0
+    assert h1_rank(TRANSITIVE, rank_d2=1) == 0
 
 
 def test_h1_formula_reciprocal_pair():
     g = Digraph.of([0, 1], [(0, 1), (1, 0)])
     c = build_digraph_complex(g, 2)
-    assert h1_rank_digraph(g, c.boundary_rank(2)) == 1
+    assert h1_rank(g, c.boundary_rank(2)) == 1
     assert oracle_betti_digraph(g, 2)[1] == 1
 
 
 def test_h1_formula_negative_is_structural_error():
     with pytest.raises(StructuralError):
-        h1_rank_digraph(CYCLIC, rank_d2=100)
+        h1_rank(CYCLIC, rank_d2=100)
 
 
 def test_h1_hypergraph_two_triangles():
     h = Hypergraph.of(range(6), [(0, 1, 2), (3, 4, 5)])
-    assert h1_upper_bound_hypergraph(h) == 8
-    assert h1_rank_hypergraph(h, 8) == 0
+    assert h1_rank(closure(h), 0) == 8
+    assert h1_rank(closure(h), 8) == 0
 
 
 def test_h1_hypergraph_single_pair():
     h = Hypergraph.of([0, 1], [(0, 1)])
     c = build_hypergraph_complex(h, 2)
-    got = h1_rank_hypergraph(h, c.boundary_rank(2))
+    got = h1_rank(closure(h), c.boundary_rank(2))
     assert got == oracle_betti_hypergraph(h, 2)[1] == 1
 
 
 def test_h1_formulas_match_oracle_on_corpora(digraph_complexes, hypergraph_complexes):
     for g, c in digraph_complexes[:50]:
-        assert h1_rank_digraph(g, c.boundary_rank(2)) == oracle_betti_digraph(g, 2)[1]
+        assert h1_rank(g, c.boundary_rank(2)) == oracle_betti_digraph(g, 2)[1]
     for h, c in hypergraph_complexes[:50]:
-        assert h1_rank_hypergraph(h, c.boundary_rank(2)) == oracle_betti_hypergraph(h, 2)[1]
+        assert h1_rank(closure(h), c.boundary_rank(2)) == oracle_betti_hypergraph(h, 2)[1]
 
 
 def test_underlying_graph_component_count():
