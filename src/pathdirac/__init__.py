@@ -23,14 +23,7 @@ from .errors import (
     ResourceLimitError,
     StructuralError,
 )
-from .graphs import (
-    Digraph,
-    Hypergraph,
-    UndirectedGraph,
-    essential_graph,
-    h1_rank,
-    symmetric_closure,
-)
+from .graphs import Digraph, Hypergraph, h1_rank, walk_digraph
 from .molecules import (
     Atom,
     Molecule,
@@ -84,7 +77,6 @@ __all__ = [
     "Spectrum",
     "StageComplexes",
     "StructuralError",
-    "UndirectedGraph",
     "WeightedDigraph",
     "auxiliary_complex",
     "bond_digraph",
@@ -96,7 +88,6 @@ __all__ = [
     "distance_filtration",
     "down_laplacian",
     "eigen_spectrum",
-    "essential_graph",
     "feature_grid",
     "features",
     "h1_rank",
@@ -108,5 +99,5 @@ __all__ = [
     "persistent_dirac",
     "persistent_laplacian",
     "supremum_complex",
-    "symmetric_closure",
+    "walk_digraph",
 ]

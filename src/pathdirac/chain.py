@@ -16,14 +16,7 @@ import numpy as np
 
 from . import rational as qa
 from .errors import StructuralError
-from .graphs import (
-    DEFAULT_PATH_CAP,
-    Digraph,
-    Hypergraph,
-    anchor_path_table,
-    essential_graph,
-    symmetric_closure,
-)
+from .graphs import DEFAULT_PATH_CAP, Digraph, Hypergraph, anchor_path_table, walk_digraph
 from .rational import QMatrix
 
 Path = tuple[int, ...]
@@ -222,8 +215,8 @@ def build_digraph_complex(g: Digraph, p_top: int, cap: int = DEFAULT_PATH_CAP,
 
 def build_hypergraph_complex(h: Hypergraph, p_top: int, cap: int = DEFAULT_PATH_CAP,
                              boundary_of=boundary_of_path) -> ChainComplex:
-    """The digraph complex of the symmetric closure of the essential graph."""
-    return build_digraph_complex(symmetric_closure(essential_graph(h)), p_top, cap, boundary_of)
+    """The digraph complex of the walk digraph."""
+    return build_digraph_complex(walk_digraph(h), p_top, cap, boundary_of)
 
 
 def omega2_generators_fast(g: Digraph, paths2: list[Path]) -> QMatrix:

@@ -22,7 +22,7 @@ from .chain import (
     omega2_generators_fast,
     supremum_complex,
 )
-from .graphs import Digraph, Hypergraph, essential_graph, h1_rank, symmetric_closure, underlying_graph
+from .graphs import Digraph, Hypergraph, h1_rank, walk_digraph
 from .operators import (DEFAULT_DENSE_LIMIT, Laplacian, Spectrum, dirac, down_laplacian,
                         eigen_spectrum, float_rank, guard_size, laplacian)
 from .persistence import StageComplexes, auxiliary_complex, persistent_laplacian
@@ -95,8 +95,6 @@ def check_h1_formula(g: Digraph, c: ChainComplex) -> CheckResult:
     Omega_1 is spanned by the edges, so betti_1 = |E| - rank d_1 - rank d_2 and
     this judges the exact rank d_1 against |V| - |C| from union-find.
     """
-    if c.p_top < 2:
-        return _result("h1-closed-form", True, "skipped: complex not built to degree 2")
     formula = h1_rank(g, c.boundary_rank(2))
     betti1 = c.betti(1)
     return _result("h1-closed-form", formula == betti1, f"formula {formula}, betti {betti1}")
@@ -121,8 +119,6 @@ def check_omega_against_infimum(c: ChainComplex, submods: list[qa.QMatrix],
 
 def check_degree2_fast_path(g: Digraph, c: ChainComplex) -> CheckResult:
     """Triangle/square generators of walk digraph g span the kernel-method degree-2 space."""
-    if c.p_top < 2:
-        return _result("degree2-fast-path", True, "skipped: complex not built to degree 2")
     fast = omega2_generators_fast(g, c.degrees[2].paths)
     ok = qa.spans_equal(fast, c.degrees[2].omega)
     return _result("degree2-fast-path", ok, f"fast dim {qa.rank(fast)}, kernel dim {c.dim(2)}")
@@ -130,8 +126,7 @@ def check_degree2_fast_path(g: Digraph, c: ChainComplex) -> CheckResult:
 
 def graph_check_suite(graph: Digraph | Hypergraph, c: ChainComplex) -> list[CheckResult]:
     guard_size(sum(map(c.dim, range(c.p_top + 1))), DEFAULT_DENSE_LIMIT)  # largest Dirac first
-    # the walk digraph; a hypergraph's is the symmetric closure of its essential graph
-    g = graph if isinstance(graph, Digraph) else symmetric_closure(essential_graph(graph))
+    g = walk_digraph(graph)
     # The anchor spans inside their deletion closure, and the largest subcomplex
     # they contain, back both the omega and the embedded-homology checks.
     paths = [d.paths for d in c.degrees]
@@ -144,19 +139,21 @@ def graph_check_suite(graph: Digraph | Hypergraph, c: ChainComplex) -> list[Chec
     results = [_result("boundary-composition-zero", True, "exact at all degrees")]
     results.extend(check_dirac_identities(c, laps))
     results.append(check_exact_vs_float_ranks(c, laps))
-    results.append(check_h1_formula(g, c))
+    if c.p_top >= 2:  # the closed form and the fast path read degree 2
+        results.append(check_h1_formula(g, c))
     results.append(check_omega_against_infimum(c, submods, inf))
-    results.append(check_degree2_fast_path(g, c))
+    if c.p_top >= 2:
+        results.append(check_degree2_fast_path(g, c))
     results.append(check_embedded_homology(ambient, submods, inf))
     return results
 
 
 def pair_beta0(stage_a: Digraph | Hypergraph, stage_b: Digraph | Hypergraph) -> int:
     """beta_0 of the auxiliary complex: |V(b) minus V(a)| plus the components of
-    stage b (of its essential graph for hypergraphs) that contain a stage-a vertex."""
+    stage b's walk digraph that contain a stage-a vertex."""
     va = set(stage_a.vertices)
-    g = underlying_graph(stage_b) if isinstance(stage_b, Digraph) else essential_graph(stage_b)
-    return len(set(stage_b.vertices) - va) + sum(1 for comp in g.components() if comp & va)
+    comps = walk_digraph(stage_b).components()
+    return len(set(stage_b.vertices) - va) + sum(1 for comp in comps if comp & va)
 
 
 def filtration_check_suite(stages: StageComplexes, p: int = 1) -> list[CheckResult]:

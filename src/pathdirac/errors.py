@@ -24,8 +24,6 @@ class ParseError(PathDiracError):
                 loc += f"{line}:"
             loc += " "
         super().__init__(f"{loc}{message}")
-        self.path = path
-        self.line = line
 
 
 class ResourceLimitError(PathDiracError):

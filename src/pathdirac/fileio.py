@@ -153,7 +153,7 @@ def parse_manifest(text: str, base_dir, path: str | None = None) -> Filtration:
                       for t in thresholds]
         except ParseError as exc:  # a negative id in the `# vertices:` directive
             raise ParseError(str(exc), path) from None
-        return Filtration.of(stages, thresholds)
+        return Filtration.of(stages)
 
     kind = _directive(text, "kind")[1] or "digraph"
     if kind not in ("digraph", "hypergraph"):

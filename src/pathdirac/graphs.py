@@ -1,15 +1,14 @@
 """Combinatorial graph structures and anchor-path enumeration.
 
-Digraphs, hypergraphs, and their essential/underlying graphs, plus the
-walk (anchor sequence) enumeration that seeds every chain complex here and
-the degree-1 closed form of a walk digraph.
+Digraphs, hypergraphs and the walk digraph of either, plus the walk
+(anchor sequence) enumeration that seeds every chain complex here and the
+degree-1 closed form of a walk digraph.
 All containers are immutable and deterministically ordered so that the
 matrices built on top of them are bit-reproducible.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import ParseError, ResourceLimitError, StructuralError
@@ -45,28 +44,8 @@ class Digraph:
             adj[u].append(v)
         return {u: tuple(sorted(vs)) for u, vs in adj.items()}
 
-
-@dataclass(frozen=True)
-class UndirectedGraph:
-    """Simple undirected graph; edges stored as sorted (u, v) with u < v."""
-
-    vertices: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def of(cls, vertices, edges) -> "UndirectedGraph":
-        vset = {int(v) for v in vertices}
-        eset = set()
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if u == v:
-                raise ParseError(f"loop edge on vertex {u} is not permitted")
-            vset.add(u)
-            vset.add(v)
-            eset.add((min(u, v), max(u, v)))
-        return cls(tuple(sorted(vset)), tuple(sorted(eset)))
-
     def components(self) -> list[set[int]]:
+        """Weak components (edge direction ignored), ordered by least vertex."""
         parent = {v: v for v in self.vertices}
 
         def find(x):
@@ -83,9 +62,6 @@ class UndirectedGraph:
         for v in self.vertices:
             groups.setdefault(find(v), set()).add(v)
         return list(groups.values())
-
-    def component_count(self) -> int:
-        return len(self.components())
 
 
 @dataclass(frozen=True)
@@ -110,19 +86,13 @@ class Hypergraph:
         return cls(tuple(sorted(vset)), tuple(sorted(eset)))
 
 
-def essential_graph(h: Hypergraph) -> UndirectedGraph:
-    """Undirected graph joining every vertex pair co-contained in a hyperedge."""
-    edges = {pair for e in h.hyperedges for pair in itertools.combinations(e, 2)}
-    return UndirectedGraph(h.vertices, tuple(sorted(edges)))
-
-
-def symmetric_closure(g: UndirectedGraph) -> Digraph:
-    """Two directed edges per undirected edge; walk sets are preserved."""
-    return Digraph(g.vertices, tuple(sorted([*g.edges, *((v, u) for u, v in g.edges)])))
-
-
-def underlying_graph(g: Digraph) -> UndirectedGraph:
-    return UndirectedGraph.of(g.vertices, g.edges)
+def walk_digraph(g: Digraph | Hypergraph) -> Digraph:
+    """The digraph whose walks seed g's complex: a digraph itself; for a hypergraph,
+    both directions of every vertex pair that shares a hyperedge."""
+    if isinstance(g, Digraph):
+        return g
+    edges = {(u, v) for e in g.hyperedges for u in e for v in e if u != v}
+    return Digraph(g.vertices, tuple(sorted(edges)))
 
 
 def anchor_paths(g: Digraph, p: int, cap: int = DEFAULT_PATH_CAP) -> list[tuple[int, ...]]:
@@ -135,7 +105,7 @@ def anchor_path_table(g: Digraph, p_top: int, cap: int = DEFAULT_PATH_CAP) -> li
 
     A degree-p anchor sequence is (v0, ..., vp) with every (v_{i-1}, v_i) a
     directed edge; degree 0 lists the vertices, isolated ones included. A
-    hypergraph's sequences are those of `symmetric_closure(essential_graph(h))`.
+    hypergraph's sequences are those of its `walk_digraph`.
     """
     if p_top < 0:
         raise ValueError("degree must be non-negative")
@@ -165,10 +135,10 @@ def _check_cap(count: int, degree: int, cap: int) -> None:
 def h1_rank(g: Digraph, rank_d2: int) -> int:
     """Degree-1 Betti number |E| - |V| + |C| - rank_d2 of a walk digraph, C its weak components.
 
-    Omega_1 is spanned by the edges and rank d_1 = |V| - |C|. A hypergraph's
-    walk digraph is the symmetric closure of its essential graph.
+    Omega_1 is spanned by the edges and rank d_1 = |V| - |C|; a hypergraph
+    enters as its `walk_digraph`.
     """
-    value = len(g.edges) - len(g.vertices) + underlying_graph(g).component_count() - rank_d2
+    value = len(g.edges) - len(g.vertices) + len(g.components()) - rank_d2
     if value < 0:
         raise StructuralError(f"degree-1 rank formula produced {value} < 0 (rank_d2={rank_d2})")
     return value

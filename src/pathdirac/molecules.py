@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .errors import ParseError, StructuralError
 from .fileio import read_input
 from .graphs import Digraph
-from .persistence import Filtration
+from .persistence import Filtration, threshold_problem
 
 # Pauling-scale electronegativities for the elements that have one.
 PAULING_ELECTRONEGATIVITY: dict[str, float] = {
@@ -132,10 +132,8 @@ def infer_bonds(atoms: tuple[Atom, ...]) -> set[tuple[int, int]]:
     bonds = set()
     for i in range(len(atoms)):
         for j in range(i + 1, len(atoms)):
-            ri = COVALENT_RADIUS.get(atoms[i].element)
-            rj = COVALENT_RADIUS.get(atoms[j].element)
-            if ri is None or rj is None:
-                continue
+            ri = COVALENT_RADIUS[atoms[i].element]
+            rj = COVALENT_RADIUS[atoms[j].element]
             if math.dist(atoms[i].position, atoms[j].position) <= BOND_INFERENCE_SCALE * (ri + rj):
                 bonds.add((i, j))
     return bonds
@@ -188,8 +186,10 @@ def distance_filtration(wd: WeightedDigraph, thresholds) -> Filtration:
     thresholds = [float(t) for t in thresholds]
     if not thresholds:
         raise StructuralError("at least one threshold is required")
+    if problem := threshold_problem(thresholds):
+        raise StructuralError(problem)
     stages = []
     for t in thresholds:
         edges = [e for e in wd.digraph.edges if wd.weights[e] <= t]
         stages.append(Digraph(wd.digraph.vertices, tuple(sorted(edges))))
-    return Filtration.of(stages, thresholds)
+    return Filtration.of(stages)

@@ -20,11 +20,10 @@ from .chain import (
     DegreeData,
     boundary_of_path,
     build_digraph_complex,
-    build_hypergraph_complex,
     embed_paths,
 )
 from .errors import StructuralError
-from .graphs import DEFAULT_PATH_CAP, Digraph, Hypergraph
+from .graphs import DEFAULT_PATH_CAP, Digraph, Hypergraph, walk_digraph
 from .operators import (
     DEFAULT_DENSE_LIMIT,
     Dirac,
@@ -65,26 +64,19 @@ class Filtration:
     """Monotone sequence of digraphs or hypergraphs, stages indexed from 1."""
 
     stages: tuple[Stage, ...]
-    thresholds: tuple[float, ...] | None = None
 
     @classmethod
-    def of(cls, stages, thresholds=None) -> "Filtration":
+    def of(cls, stages) -> "Filtration":
         stages = tuple(stages)
         if not stages:
             raise StructuralError("a filtration needs at least one stage")
         if len({type(s) for s in stages}) != 1:
             raise StructuralError("filtration stages must all be digraphs or all hypergraphs")
-        if thresholds is not None:
-            thresholds = tuple(float(t) for t in thresholds)
-            if len(thresholds) != len(stages):
-                raise StructuralError("threshold count must match stage count")
-            if problem := threshold_problem(thresholds):
-                raise StructuralError(problem)
         for i in range(len(stages) - 1):
             if missing := missing_element(stages[i], stages[i + 1]):
                 raise StructuralError(f"filtration nesting violated: stage {i + 2} lacks "
                                       f"{missing} of stage {i + 1}")
-        return cls(stages, thresholds)
+        return cls(stages)
 
     def __len__(self) -> int:
         return len(self.stages)
@@ -97,13 +89,9 @@ class StageComplexes:
     def __init__(self, filtration: Filtration, p_top: int, cap: int = DEFAULT_PATH_CAP):
         self.filtration = filtration
         self.p_top = p_top
-        build = (
-            build_digraph_complex
-            if isinstance(filtration.stages[0], Digraph)
-            else build_hypergraph_complex
-        )
         boundary_of = functools.cache(boundary_of_path)  # shared by every stage
-        self.complexes = [build(s, p_top, cap, boundary_of) for s in filtration.stages]
+        self.complexes = [build_digraph_complex(walk_digraph(s), p_top, cap, boundary_of)
+                          for s in filtration.stages]
 
     def __len__(self) -> int:
         return len(self.complexes)

@@ -34,14 +34,13 @@ from pathdirac import (
     distance_filtration,
     down_laplacian,
     eigen_spectrum,
-    essential_graph,
     feature_grid,
     h1_rank,
     laplacian,
     parse_xyz,
     persistent_dirac,
     persistent_laplacian,
-    symmetric_closure,
+    walk_digraph,
 )
 from pathdirac import rational as qa
 from pathdirac.chain import deletion_closure_complex, embed_paths, infimum_complex, supremum_complex
@@ -182,9 +181,8 @@ def test_forced_stage_pair_nullities():
 def test_two_triangle_hypergraph_rank_arithmetic():
     started = time.monotonic()
     h = Hypergraph.of(range(6), [(0, 1, 2), (3, 4, 5)])
-    eg = essential_graph(h)
-    assert (len(eg.vertices), len(eg.edges), eg.component_count()) == (6, 6, 2)
-    closure = symmetric_closure(eg)
+    closure = walk_digraph(h)
+    assert (len(closure.vertices), len(closure.edges), len(closure.components())) == (6, 12, 2)
     assert h1_rank(closure, 0) == 8
     c = build_hypergraph_complex(h, 2)
     assert c.boundary_rank(2) == 8
@@ -219,7 +217,7 @@ def test_property_degree1_rank_formulas(digraph_complexes, hypergraph_complexes)
     for g, c in digraph_complexes:
         assert h1_rank(g, c.boundary_rank(2)) == c.betti(1)
     for h, c in hypergraph_complexes:
-        assert h1_rank(symmetric_closure(essential_graph(h)), c.boundary_rank(2)) == c.betti(1)
+        assert h1_rank(walk_digraph(h), c.boundary_rank(2)) == c.betti(1)
     _record("property-degree1-rank-formulas", started)
 
 

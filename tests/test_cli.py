@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathdirac import (Digraph, UndirectedGraph, build_digraph_complex, chain, cli, dirac, down_laplacian,
+from pathdirac import (Digraph, build_digraph_complex, chain, cli, dirac, down_laplacian,
                        fileio, laplacian)
 from pathdirac.cli import main
 from pathdirac.rational import QMatrix
@@ -177,11 +177,19 @@ def test_check_negative_control(cyclic_file, capsys, shifted_laplacian):
     assert "FAIL dirac-square-p0:" in out
 
 
+def test_check_p0_runs_no_degree2_check(cyclic_file, capsys):
+    """A complex built to degree 1 has no degree-2 data, so neither degree-2 line prints."""
+    assert main(["check", str(cyclic_file), "--p", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert not [line for line in lines if "h1-closed-form" in line or "degree2-fast-path" in line]
+    assert lines[-1] == "7/7 checks passed"
+
+
 @pytest.mark.parametrize("kind, text", [("digraph", CYCLIC), ("hypergraph", "0 1 2\n2 3\n")])
 def test_check_h1_negative_control(tmp_path, capsys, monkeypatch, kind, text):
     # both kinds reach the one degree-1 closed form, so a miscounted component fails both
-    real = UndirectedGraph.component_count
-    monkeypatch.setattr(UndirectedGraph, "component_count", lambda self: real(self) + 1)
+    real = Digraph.components
+    monkeypatch.setattr(Digraph, "components", lambda self: real(self) + [set()])
     path = tmp_path / "g.txt"
     path.write_text(text, encoding="utf-8")
     assert main(["check", str(path), "--kind", kind]) == 4

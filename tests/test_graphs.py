@@ -8,17 +8,10 @@ from oracles import (
     oracle_betti_digraph,
     oracle_betti_hypergraph,
 )
-from pathdirac import (
-    Digraph,
-    Hypergraph,
-    UndirectedGraph,
-    essential_graph,
-    h1_rank,
-    symmetric_closure,
-)
+from pathdirac import Digraph, Hypergraph, h1_rank, walk_digraph
 from pathdirac.chain import build_digraph_complex, build_hypergraph_complex
 from pathdirac.errors import ParseError, ResourceLimitError, StructuralError
-from pathdirac.graphs import DEFAULT_PATH_CAP, anchor_path_table, anchor_paths, underlying_graph
+from pathdirac.graphs import DEFAULT_PATH_CAP, anchor_path_table, anchor_paths
 
 CYCLIC = Digraph.of([0, 1, 2], [(0, 1), (1, 2), (2, 0)])
 TRANSITIVE = Digraph.of([0, 1, 2], [(0, 1), (1, 2), (0, 2)])
@@ -29,7 +22,7 @@ def walks(g, p, cap=DEFAULT_PATH_CAP):
 
 
 def closure(h):
-    return symmetric_closure(essential_graph(h))
+    return walk_digraph(h)
 
 
 def test_digraph_rejects_loops():
@@ -76,7 +69,7 @@ def test_anchor_paths_sorted_and_distinct_consecutive():
 
 
 def test_anchor_path_cap():
-    g = symmetric_closure(essential_graph(Hypergraph.of(range(6), [tuple(range(6))])))
+    g = walk_digraph(Hypergraph.of(range(6), [tuple(range(6))]))
     with pytest.raises(ResourceLimitError):
         walks(g, 6, cap=100)
 
@@ -108,30 +101,29 @@ def test_anchor_path_consistency_on_corpus(hypergraph_corpus):
 
 
 def test_essential_graph_triangle():
+    """The walk digraph is the symmetric closure of the essential graph."""
     h = Hypergraph.of([0, 1, 2], [(0, 1, 2)])
-    eg = essential_graph(h)
-    assert eg.edges == ((0, 1), (0, 2), (1, 2))
+    assert walk_digraph(h).edges == ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
 
 
 def test_essential_graph_absorbs_contained_edge():
     h1 = Hypergraph.of([0, 1, 2], [(0, 1), (0, 1, 2)])
     h2 = Hypergraph.of([0, 1, 2], [(0, 1, 2)])
-    assert essential_graph(h1) == essential_graph(h2)
+    assert walk_digraph(h1) == walk_digraph(h2)
 
 
 def test_essential_graph_two_components():
     h = Hypergraph.of(range(6), [(0, 1, 2), (3, 4, 5)])
-    eg = essential_graph(h)
-    assert len(eg.vertices) == 6
-    assert len(eg.edges) == 6
-    assert eg.component_count() == 2
+    g = walk_digraph(h)
+    assert len(g.vertices) == 6
+    assert len(g.edges) == 12
+    assert len(g.components()) == 2
 
 
 def test_symmetric_closure():
-    assert symmetric_closure(UndirectedGraph.of([0, 1], [(0, 1)])).edges == ((0, 1), (1, 0))
-    assert symmetric_closure(UndirectedGraph.of([], [])).edges == ()
-    triangle = UndirectedGraph.of([0, 1, 2], [(0, 1), (1, 2), (0, 2)])
-    assert len(symmetric_closure(triangle).edges) == 6
+    assert walk_digraph(Hypergraph.of([0, 1], [(0, 1)])).edges == ((0, 1), (1, 0))
+    assert walk_digraph(Hypergraph.of([], [])).edges == ()
+    assert walk_digraph(CYCLIC) is CYCLIC
 
 
 def test_reciprocal_pairs():
@@ -182,6 +174,7 @@ def test_h1_formulas_match_oracle_on_corpora(digraph_complexes, hypergraph_compl
 
 
 def test_underlying_graph_component_count():
-    assert underlying_graph(CYCLIC).component_count() == 1
+    """Weak components: edge direction is ignored."""
+    assert len(CYCLIC.components()) == 1
     g = Digraph.of([0, 1, 2, 3], [(0, 1)])
-    assert underlying_graph(g).component_count() == 3
+    assert len(g.components()) == 3

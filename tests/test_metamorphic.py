@@ -39,7 +39,7 @@ def reversed_digraph(g: Digraph, relabel: dict[int, int]) -> Digraph:
 
 def reversed_and_relabelled(f: Filtration, rng: random.Random) -> Filtration:
     relabel = relabelling(f.stages[-1].vertices, rng)
-    return Filtration.of([reversed_digraph(g, relabel) for g in f.stages], f.thresholds)
+    return Filtration.of([reversed_digraph(g, relabel) for g in f.stages])
 
 
 def assert_same_grid(f: Filtration, rng: random.Random) -> None:

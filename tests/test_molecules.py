@@ -7,6 +7,7 @@ import pytest
 from pathdirac import StageComplexes, bond_digraph, distance_filtration, parse_xyz
 from pathdirac.errors import ParseError, StructuralError
 from pathdirac.molecules import (
+    COVALENT_RADIUS,
     PAULING_ELECTRONEGATIVITY,
     infer_bonds,
 )
@@ -94,6 +95,12 @@ def test_bond_inference_water():
     assert infer_bonds(mol.atoms) == {(0, 1), (0, 2)}
 
 
+def test_element_tables_share_keys():
+    """`parse_xyz` admits the electronegativity table's elements; bond inference
+    looks each one up in the radius table."""
+    assert PAULING_ELECTRONEGATIVITY.keys() == COVALENT_RADIUS.keys()
+
+
 def test_water_bond_digraph_directions():
     wd = bond_digraph(parse_xyz(WATER_XYZ))
     # chi(H) < chi(O): both edges point into the oxygen
@@ -147,10 +154,8 @@ def test_distance_filtration_five_stages():
     for u, v in stage2.edges:
         assert {elements[u], elements[v]} == {"H", "O"}
     # final stage is fully bonded and weakly connected
-    from pathdirac.graphs import underlying_graph
-
     assert len(stage5.edges) == 9  # 7 directed bonds + the reciprocal C-C pair
-    assert underlying_graph(stage5).component_count() == 1
+    assert len(stage5.components()) == 1
 
 
 def test_distance_filtration_single_threshold():

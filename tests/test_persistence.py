@@ -28,8 +28,10 @@ from pathdirac import (
     Filtration,
     Hypergraph,
     StageComplexes,
+    WeightedDigraph,
     auxiliary_complex,
     dirac,
+    distance_filtration,
     eigen_spectrum,
     feature_grid,
     laplacian,
@@ -62,15 +64,13 @@ def test_filtration_rejects_broken_nesting():
 
 
 def test_filtration_rejects_bad_thresholds():
-    a = Digraph.of([0, 1], [])
-    b = Digraph.of([0, 1], [(0, 1)])
-    with pytest.raises(StructuralError):
-        Filtration.of([a, b], thresholds=[1.0, 1.0])
-    with pytest.raises(StructuralError):
-        Filtration.of([a, b], thresholds=[1.0])
+    """`distance_filtration` is the library entry that takes thresholds."""
+    wd = WeightedDigraph(Digraph.of([0, 1], [(0, 1)]), {(0, 1): 0.5})
+    with pytest.raises(StructuralError, match="^thresholds must be strictly increasing$"):
+        distance_filtration(wd, [1.0, 1.0])
     for bad in ([0.0, float("nan")], [0.0, float("inf")], [float("-inf"), 0.0]):
-        with pytest.raises(StructuralError):
-            Filtration.of([a, b], thresholds=bad)
+        with pytest.raises(StructuralError, match="^thresholds must be finite$"):
+            distance_filtration(wd, bad)
 
 
 def test_filtration_rejects_mixed_kinds():
