@@ -69,12 +69,12 @@ class DegreeData:
     """One degree's exact data and the float blocks formed from it on first read."""
 
     paths: list[Path]
-    omega: QMatrix  # columns: basis of the invariant subspace, path coordinates
+    omega: QMatrix  # columns: basis of the degree's space, path coordinates
     boundary: QMatrix | None  # exact map to the previous degree's omega basis (k >= 1);
     # None on a degree the auxiliary complex rebuilds: nothing reads it there
     allowed: QMatrix  # boundary into path coordinates of degree k-1
     prev: DegreeData | None  # degree k-1; None at degree 0
-    image: QMatrix | None = None  # stage complexes only: allowed @ omega, rows at paths of k-1
+    image: QMatrix | None = None  # set by `build_complex`: allowed @ omega, rows at paths of k-1
     stage: DegreeData | None = None  # auxiliary only: the stage degree whose block it shares
 
     @functools.cached_property
@@ -92,22 +92,22 @@ class DegreeData:
         return self.prev.ortho.T @ (self.allowed_block @ self.ortho)
 
 
-class ExactComplex:
-    """Exact boundaries per degree and the ranks and Betti numbers they fix.
+class ChainComplex:
+    """Per-degree bases with exact and orthonormal boundary data, and the ranks and
+    Betti numbers they fix; degree k's dimension is its basis's column count.
 
-    boundaries[k] maps degree k to degree k-1; boundaries[0] has no rows, so
-    every degree's dimension is its boundary's column count.
+    Stage complexes and deletion closures come from `build_complex`, which
+    asserts ∂∂ = 0; an auxiliary complex holds no exact boundary for the
+    degrees it rebuilds.
     """
 
-    def __init__(self, boundaries: list[QMatrix]):
-        self.boundaries = boundaries
-        self.p_top = len(boundaries) - 1
+    def __init__(self, degrees: list[DegreeData]):
+        self.degrees = degrees
+        self.p_top = len(degrees) - 1
         self._ranks: dict[int, int] = {}
 
     def dim(self, k: int) -> int:
-        if 0 <= k <= self.p_top:
-            return self.boundaries[k].cols
-        return 0
+        return self.degrees[k].omega.cols if 0 <= k <= self.p_top else 0
 
     def boundary_rank(self, k: int) -> int:
         """Exact rank of the boundary map out of degree k (0 beyond the built range).
@@ -118,7 +118,7 @@ class ExactComplex:
         if not 1 <= k <= self.p_top:
             return 0
         if k not in self._ranks:
-            self._ranks[k] = qa.rank(self.boundaries[k])
+            self._ranks[k] = qa.rank(self.degrees[k].boundary)
         return self._ranks[k]
 
     def betti(self, k: int) -> int:
@@ -133,18 +133,6 @@ class ExactComplex:
     def down_nullity(self, k: int) -> int:
         """Exact kernel dimension of the boundary map out of degree k."""
         return self.dim(k) - self.boundary_rank(k)
-
-
-class ChainComplex(ExactComplex):
-    """Per-degree invariant subspaces with exact and orthonormal boundary data.
-
-    A stage complex comes from `build_complex`, which asserts ∂∂ = 0; an
-    auxiliary complex holds no exact boundary for the degrees it rebuilds.
-    """
-
-    def __init__(self, degrees: list[DegreeData]):
-        super().__init__([d.boundary for d in degrees])
-        self.degrees = degrees
 
 
 def orthonormal_basis(basis: QMatrix) -> np.ndarray:
@@ -213,10 +201,10 @@ def build_digraph_complex(g: Digraph, p_top: int, cap: int = DEFAULT_PATH_CAP,
     return build_complex(anchor_path_table(g, p_top, cap), boundary_of)
 
 
-def build_hypergraph_complex(h: Hypergraph, p_top: int, cap: int = DEFAULT_PATH_CAP,
-                             boundary_of=boundary_of_path) -> ChainComplex:
+def build_hypergraph_complex(h: Hypergraph, p_top: int,
+                             cap: int = DEFAULT_PATH_CAP) -> ChainComplex:
     """The digraph complex of the walk digraph."""
-    return build_digraph_complex(walk_digraph(h), p_top, cap, boundary_of)
+    return build_digraph_complex(walk_digraph(h), p_top, cap)
 
 
 def omega2_generators_fast(g: Digraph, paths2: list[Path]) -> QMatrix:
@@ -247,39 +235,22 @@ def omega2_generators_fast(g: Digraph, paths2: list[Path]) -> QMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Generic ambient complexes and infimum/supremum subcomplexes
+# Deletion closures and their infimum/supremum subcomplexes
 
 
-class AmbientComplex(ExactComplex):
-    """Explicit basis labels and exact boundary matrices for degrees 0..p_top."""
-
-    def __init__(self, labels: list[list[Path]], boundaries: list[QMatrix]):
-        super().__init__(boundaries)
-        self.labels = labels
-
-
-def deletion_closure_complex(paths_per_degree: list[list[Path]]) -> AmbientComplex:
+def deletion_closure_complex(paths_per_degree: list[list[Path]]) -> ChainComplex:
     """Smallest elementary-path complex containing the given spans.
 
     Working inside this closure instead of the full sequence space keeps the
     ambient dimensions proportional to the input, with identical subcomplexes.
+    No boundary row leaves the closure, so each basis is the identity.
     """
-    top = len(paths_per_degree) - 1
     labels: list[set[Path]] = [set(ps) for ps in paths_per_degree]
-    for k in range(top, 0, -1):
+    for k in range(len(labels) - 1, 0, -1):
         for path in labels[k]:
             for _, sub in boundary_terms(path):
                 labels[k - 1].add(sub)
-    sorted_labels = [sorted(ls) for ls in labels]
-    boundaries = [QMatrix(0, len(sorted_labels[0]))]
-    for k in range(1, top + 1):
-        rows = {p: i for i, p in enumerate(sorted_labels[k - 1])}
-        b = QMatrix(len(sorted_labels[k - 1]), len(sorted_labels[k]))
-        for j, path in enumerate(sorted_labels[k]):
-            for sub, coeff in boundary_of_path(path).items():
-                b.data[rows[sub]][j] = coeff
-        boundaries.append(b)
-    return AmbientComplex(sorted_labels, boundaries)
+    return build_complex([sorted(ls) for ls in labels])
 
 
 def embed_paths(sub: list[Path], ambient: list[Path]) -> QMatrix:
@@ -291,37 +262,32 @@ def embed_paths(sub: list[Path], ambient: list[Path]) -> QMatrix:
     return out
 
 
-class SubcomplexRep(ExactComplex):
-    """Per-degree bases (ambient coordinates) plus restricted boundary maps."""
+def _subcomplex(ambient: ChainComplex, bases: list[QMatrix]) -> ChainComplex:
+    """The subcomplex with these per-degree bases in ambient path coordinates.
 
-    def __init__(self, bases: list[QMatrix], boundaries: list[QMatrix]):
-        super().__init__(boundaries)
-        self.bases = bases
+    Each restricted boundary is solved for in the previous degree's basis,
+    which raises unless the boundary lands in the subcomplex.
+    """
+    degrees: list[DegreeData] = []
+    for k, (a, basis) in enumerate(zip(ambient.degrees, bases)):
+        prev = degrees[k - 1] if k else None
+        boundary = qa.solve(bases[k - 1], a.allowed @ basis) if k else QMatrix(0, basis.cols)
+        degrees.append(DegreeData(a.paths, basis, boundary, a.allowed, prev))
+    return ChainComplex(degrees)
 
 
-def _restricted_boundaries(ambient: AmbientComplex, bases: list[QMatrix]) -> list[QMatrix]:
-    boundaries = [QMatrix(0, bases[0].cols)]
-    for k in range(1, len(bases)):
-        boundaries.append(qa.solve(bases[k - 1], ambient.boundaries[k] @ bases[k]))
-    return boundaries
-
-
-def infimum_complex(ambient: AmbientComplex, submodules: list[QMatrix]) -> SubcomplexRep:
+def infimum_complex(ambient: ChainComplex, submodules: list[QMatrix]) -> ChainComplex:
     """Largest subcomplex inside the graded family: A_k ∩ boundary-preimage(A_{k-1})."""
     bases = [qa.column_space_basis(submodules[0])]
     for k in range(1, len(submodules)):
-        pre = qa.preimage_basis(ambient.boundaries[k], bases[k - 1])
+        pre = qa.preimage_basis(ambient.degrees[k].allowed, bases[k - 1])
         bases.append(qa.intersection_basis(submodules[k], pre))
-    return SubcomplexRep(bases, _restricted_boundaries(ambient, bases))
+    return _subcomplex(ambient, bases)
 
 
-def supremum_complex(ambient: AmbientComplex, submodules: list[QMatrix]) -> SubcomplexRep:
+def supremum_complex(ambient: ChainComplex, submodules: list[QMatrix]) -> ChainComplex:
     """Smallest subcomplex containing the graded family: A_k + boundary(A_{k+1})."""
     top = len(submodules) - 1
-    bases = []
-    for k in range(top + 1):
-        if k < top:
-            bases.append(qa.sum_space_basis(submodules[k], ambient.boundaries[k + 1] @ submodules[k + 1]))
-        else:
-            bases.append(qa.column_space_basis(submodules[k]))
-    return SubcomplexRep(bases, _restricted_boundaries(ambient, bases))
+    bases = [qa.sum_space_basis(submodules[k], ambient.degrees[k + 1].allowed @ submodules[k + 1])
+             for k in range(top)]
+    return _subcomplex(ambient, bases + [qa.column_space_basis(submodules[top])])

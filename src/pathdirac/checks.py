@@ -13,9 +13,7 @@ import numpy as np
 
 from . import rational as qa
 from .chain import (
-    AmbientComplex,
     ChainComplex,
-    SubcomplexRep,
     deletion_closure_complex,
     embed_paths,
     infimum_complex,
@@ -100,8 +98,8 @@ def check_h1_formula(g: Digraph, c: ChainComplex) -> CheckResult:
     return _result("h1-closed-form", formula == betti1, f"formula {formula}, betti {betti1}")
 
 
-def check_embedded_homology(ambient: AmbientComplex, submods: list[qa.QMatrix],
-                            inf: SubcomplexRep) -> CheckResult:
+def check_embedded_homology(ambient: ChainComplex, submods: list[qa.QMatrix],
+                            inf: ChainComplex) -> CheckResult:
     """Infimum and supremum subcomplexes of the anchor spans agree in homology."""
     bi = inf.betti_vector()
     bs = supremum_complex(ambient, submods).betti_vector()
@@ -109,10 +107,10 @@ def check_embedded_homology(ambient: AmbientComplex, submods: list[qa.QMatrix],
 
 
 def check_omega_against_infimum(c: ChainComplex, submods: list[qa.QMatrix],
-                                inf: SubcomplexRep) -> CheckResult:
+                                inf: ChainComplex) -> CheckResult:
     """Kernel-method invariant spaces match the generic infimum construction."""
     for k in range(c.p_top + 1):
-        if not qa.spans_equal(submods[k] @ c.degrees[k].omega, inf.bases[k]):
+        if not qa.spans_equal(submods[k] @ c.degrees[k].omega, inf.degrees[k].omega):
             return _result("omega-vs-infimum", False, f"span mismatch at degree {k}")
     return _result("omega-vs-infimum", True, "identical spans at every degree")
 
@@ -131,7 +129,7 @@ def graph_check_suite(graph: Digraph | Hypergraph, c: ChainComplex) -> list[Chec
     # they contain, back both the omega and the embedded-homology checks.
     paths = [d.paths for d in c.degrees]
     ambient = deletion_closure_complex(paths)
-    submods = [embed_paths(ps, ambient.labels[k]) for k, ps in enumerate(paths)]
+    submods = [embed_paths(ps, ambient.degrees[k].paths) for k, ps in enumerate(paths)]
     inf = infimum_complex(ambient, submods)
     laps = [laplacian(c, i) for i in range(c.p_top)]  # shared by the square and rank checks
     # ∂∂ = 0 is not recomputed: `build_complex` raises a StructuralError (exit 4)

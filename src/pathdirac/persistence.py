@@ -119,9 +119,6 @@ class AuxiliaryComplex(ChainComplex):
         self.stage_a, self.stage_b = stage_a, stage_b
         self.c_bases = c_bases  # auxiliary space bases in the stage-b basis
 
-    def dim(self, k: int) -> int:
-        return self.c_bases[k].cols if 0 <= k <= self.p_top else 0
-
     def boundary_rank(self, k: int) -> int:
         """dim C_k - dim ker ∂_k(b): every stage-b cycle lies in C_k, so they share a kernel."""
         if not 1 <= k <= self.p_top:

@@ -226,7 +226,7 @@ def test_property_embedded_homology_identity(digraph_complexes, hypergraph_compl
     for _, c in digraph_complexes[:120] + hypergraph_complexes[:80]:
         table = [c.degrees[k].paths for k in range(c.p_top + 1)]
         ambient = deletion_closure_complex(table)
-        submods = [embed_paths(p, ambient.labels[k]) for k, p in enumerate(table)]
+        submods = [embed_paths(p, ambient.degrees[k].paths) for k, p in enumerate(table)]
         inf = infimum_complex(ambient, submods)
         sup = supremum_complex(ambient, submods)
         assert inf.betti_vector() == sup.betti_vector()

@@ -212,10 +212,10 @@ def test_orthonormal_basis_rejects_rank_deficiency():
 def test_deletion_closure_minimal():
     table = anchor_path_table(CYCLIC, 2)
     ambient = deletion_closure_complex(table)
-    assert ambient.labels[0] == [(0,), (1,), (2,)]
-    assert (0, 2) in ambient.labels[1]  # deletion of (0,1,2) adds the missing pair
+    assert ambient.degrees[0].paths == [(0,), (1,), (2,)]
+    assert (0, 2) in ambient.degrees[1].paths  # deletion of (0,1,2) adds the missing pair
     for k in range(1, ambient.p_top + 1):
-        prod = ambient.boundaries[k - 1] @ ambient.boundaries[k] if k >= 2 else None
+        prod = ambient.degrees[k - 1].boundary @ ambient.degrees[k].boundary if k >= 2 else None
         if prod is not None:
             assert prod.is_zero()
 
@@ -241,7 +241,7 @@ def test_infimum_of_zero_is_zero():
 
 def _anchor_submodules(table):
     ambient = deletion_closure_complex(table)
-    return ambient, [embed_paths(p, ambient.labels[k]) for k, p in enumerate(table)]
+    return ambient, [embed_paths(p, ambient.degrees[k].paths) for k, p in enumerate(table)]
 
 
 def test_omega_equals_infimum_of_anchor_spans(digraph_complexes):
@@ -250,8 +250,8 @@ def test_omega_equals_infimum_of_anchor_spans(digraph_complexes):
         ambient, submods = _anchor_submodules(table)
         inf = infimum_complex(ambient, submods)
         for k in range(c.p_top + 1):
-            emb = embed_paths(table[k], ambient.labels[k]) @ c.degrees[k].omega
-            assert qa.spans_equal(emb, inf.bases[k]), (g, k)
+            emb = embed_paths(table[k], ambient.degrees[k].paths) @ c.degrees[k].omega
+            assert qa.spans_equal(emb, inf.degrees[k].omega), (g, k)
 
 
 def test_infimum_supremum_same_homology(digraph_complexes, hypergraph_complexes):

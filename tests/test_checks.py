@@ -7,8 +7,10 @@ import pytest
 
 from pathdirac import Digraph, Filtration, Hypergraph, StageComplexes, checks, dirac, laplacian
 from pathdirac import rational as qa
-from pathdirac.chain import build_digraph_complex, build_hypergraph_complex, omega2_generators_fast
+from pathdirac.chain import (build_digraph_complex, build_hypergraph_complex, embed_paths,
+                             omega2_generators_fast)
 from pathdirac.checks import check_dirac_identities, filtration_check_suite, graph_check_suite
+from pathdirac.cli import main
 
 CYCLIC = Digraph.of([0, 1, 2], [(0, 1), (1, 2), (2, 0)])
 CIRCULANT = np.array([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]])
@@ -121,6 +123,30 @@ def test_graph_suite_negative_control(shifted_laplacian):
     failed = [r for r in results if not r.passed]
     assert failed and failed[0].name == "dirac-square-p0"
     assert "square defect 5.000e-01" in failed[0].detail
+
+
+def test_omega_vs_infimum_negative_control(tmp_path, monkeypatch, capsys):
+    """An infimum whose degree-1 basis spans other closure labels fails omega-vs-infimum
+    and no other check, so `check` exits 4."""
+    real = checks.infimum_complex
+
+    def moved(ambient, submods):
+        inf = real(ambient, submods)
+        paths = ambient.degrees[1].paths
+        spanned = {p for p, row in zip(paths, submods[1].data) if row}
+        other = [p for p in paths if p not in spanned][: inf.dim(1)]
+        assert len(other) == inf.dim(1)
+        inf.degrees[1] = dataclasses.replace(inf.degrees[1], omega=embed_paths(other, paths))
+        return inf
+
+    monkeypatch.setattr(checks, "infimum_complex", moved)
+    graph = tmp_path / "cyc.txt"
+    graph.write_text("0 1\n1 2\n2 0\n", encoding="utf-8")
+    assert main(["check", str(graph)]) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        "FAIL omega-vs-infimum: span mismatch at degree 1"]
+    assert lines[-1] == "11/12 checks passed"
 
 
 def test_graph_suite_names_in_order():

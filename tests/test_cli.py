@@ -339,6 +339,10 @@ CATALOGUE_FILES = {
     "nan.txt": "# thresholds: 0 1\n0 1 0.5\n1 2 nan\n",
     "bond.xyz": WATER.replace("BOND 0 2", "BOND 0 3"),
     "zero.xyz": "2\ndup\nC 0 0 0\nC 0 0 0\nBOND 0 1\n",
+    "weight.txt": "# thresholds: 0 1\n0 1 abc\n",
+    "nan.xyz": WATER.replace("H 0.97", "H nan"),
+    "link.xyz": WATER + "LINK 0 1\n",
+    "index.xyz": WATER + "BOND 0 x\n",
     "g.txt": CYCLIC,
     "w.xyz": WATER,
 }
@@ -356,12 +360,17 @@ CATALOGUE_FILES = {
         (["persist", "nan.txt"], 2),
         (["molecule", "bond.xyz", "--thresholds", "1", "2"], 2),
         (["molecule", "zero.xyz", "--thresholds", "1"], 2),
+        (["persist", "weight.txt"], 2),
+        (["molecule", "nan.xyz", "--thresholds", "1"], 2),
+        (["molecule", "link.xyz", "--thresholds", "1"], 2),
+        (["molecule", "index.xyz", "--thresholds", "1"], 2),
         (["complex", "g.txt", "--cap", "0"], 3),
         (["dirac", "g.txt", "--max-dense", "0"], 3),
         (["molecule", "w.xyz", "--thresholds", "2", "1"], 1),
     ],
     ids=["loop", "non-integer", "negative-id", "non-utf8", "missing-stage", "broken-nesting",
-         "nan-weight", "bad-bond-index", "zero-length-bond", "cap-0", "max-dense-0",
+         "nan-weight", "bad-bond-index", "zero-length-bond", "bad-weighted-edge",
+         "nan-coordinate", "non-bond-trailer", "non-integer-bond-index", "cap-0", "max-dense-0",
          "bad-thresholds"],
 )
 def test_exit_code_catalogue(tmp_path, capsys, argv, code):
@@ -381,6 +390,19 @@ def test_exit_code_catalogue(tmp_path, capsys, argv, code):
     assert len(errors) == 1 and errors[0].startswith("error:"), err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_xyz_trailer_skips_blank_and_comment_lines(tmp_path):
+    """A blank line and a `#` line in the trailer are skipped: the grid is the plain file's."""
+    grids = []
+    for name, text in (("plain", WATER), ("noted", WATER + "\n# note\n")):
+        (tmp_path / name).mkdir()
+        xyz = tmp_path / name / "w.xyz"
+        xyz.write_text(text, encoding="utf-8")
+        out = tmp_path / name / "out"
+        assert main(["molecule", str(xyz), "--thresholds", "1", "2", "--out", str(out)]) == 0
+        grids.append((out / "w.grid.csv").read_text(encoding="utf-8"))
+    assert grids[0] == grids[1]
 
 
 # Valid inputs, as files (the input is "in") and the argv that follows the command.

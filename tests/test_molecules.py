@@ -1,10 +1,12 @@
 """Molecule parsing, electronegativity digraphs, and distance filtrations."""
 
 import math
+import re
 
 import pytest
 
-from pathdirac import StageComplexes, bond_digraph, distance_filtration, parse_xyz
+from pathdirac import (Digraph, StageComplexes, WeightedDigraph, bond_digraph,
+                       distance_filtration, parse_xyz)
 from pathdirac.errors import ParseError, StructuralError
 from pathdirac.molecules import (
     COVALENT_RADIUS,
@@ -169,6 +171,25 @@ def test_distance_filtration_rejects_unsorted_thresholds():
     wd = bond_digraph(parse_xyz(WATER_XYZ))
     with pytest.raises(StructuralError):
         distance_filtration(wd, [1.0, 0.5])
+
+
+def test_distance_filtration_needs_a_threshold():
+    wd = bond_digraph(parse_xyz(WATER_XYZ))
+    with pytest.raises(StructuralError, match="at least one threshold is required"):
+        distance_filtration(wd, [])
+
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ({(0, 1): 0.0}, "edge weight for 0->1 must be positive, got 0.0"),
+        ({(0, 1): 1.0, (1, 0): 2.0}, "reciprocal edges 0<->1 carry unequal weights"),
+    ],
+    ids=["zero-weight", "unequal-reciprocal"],
+)
+def test_weighted_digraph_rejects_bad_weights(weights, message):
+    with pytest.raises(StructuralError, match=re.escape(message)):
+        WeightedDigraph(Digraph.of([0, 1], list(weights)), weights)
 
 
 def test_water_pipeline_end_to_end():
