@@ -66,16 +66,34 @@ def split_boundary(
 
 @dataclass
 class DegreeData:
-    """One degree's exact data and the float blocks formed from it on first read."""
+    """One degree's exact data, and what is formed from it on first read: its
+    image, boundary and rank, and its float blocks."""
 
     paths: list[Path]
     omega: QMatrix  # columns: basis of the degree's space, path coordinates
-    boundary: QMatrix | None  # exact map to the previous degree's omega basis (k >= 1);
-    # None on a degree the auxiliary complex rebuilds: nothing reads it there
     allowed: QMatrix  # boundary into path coordinates of degree k-1
     prev: DegreeData | None  # degree k-1; None at degree 0
-    image: QMatrix | None = None  # set by `build_complex`: allowed @ omega, rows at paths of k-1
     stage: DegreeData | None = None  # auxiliary only: the stage degree whose block it shares
+
+    @functools.cached_property
+    def image(self) -> QMatrix:  # the boundary in path coordinates of degree k-1
+        # a basis as wide as its degree is the identity
+        return self.allowed if self.omega.cols == self.omega.rows else self.allowed @ self.omega
+
+    @functools.cached_property
+    def boundary(self) -> QMatrix:  # the image re-expressed in the previous degree's basis
+        prev = self.prev
+        if prev is None or prev.omega.cols == prev.omega.rows:
+            return self.image
+        return qa.solve(prev.omega, self.image)  # raises unless it lands in degree k-1
+
+    @functools.cached_property
+    def rank(self) -> int:
+        """Exact rank of the boundary. Every stage-b cycle lies in an auxiliary
+        degree, so there it is dim C_k - dim ker ∂_k(b)."""
+        if self.stage is not None:
+            return self.omega.cols - self.stage.omega.cols + self.stage.rank
+        return qa.rank(self.boundary)
 
     @functools.cached_property
     def allowed_block(self) -> np.ndarray:  # converted once per stage degree
@@ -97,29 +115,19 @@ class ChainComplex:
     Betti numbers they fix; degree k's dimension is its basis's column count.
 
     Stage complexes and deletion closures come from `build_complex`, which
-    asserts ∂∂ = 0; an auxiliary complex holds no exact boundary for the
-    degrees it rebuilds.
+    asserts ∂∂ = 0.
     """
 
     def __init__(self, degrees: list[DegreeData]):
         self.degrees = degrees
         self.p_top = len(degrees) - 1
-        self._ranks: dict[int, int] = {}
 
     def dim(self, k: int) -> int:
         return self.degrees[k].omega.cols if 0 <= k <= self.p_top else 0
 
     def boundary_rank(self, k: int) -> int:
-        """Exact rank of the boundary map out of degree k (0 beyond the built range).
-
-        Computed on first use and stored, so each boundary is ranked at most once
-        (threads racing on one complex can only store the same value twice).
-        """
-        if not 1 <= k <= self.p_top:
-            return 0
-        if k not in self._ranks:
-            self._ranks[k] = qa.rank(self.degrees[k].boundary)
-        return self._ranks[k]
+        """Exact rank of the boundary map out of degree k (0 beyond the built range)."""
+        return self.degrees[k].rank if 1 <= k <= self.p_top else 0
 
     def betti(self, k: int) -> int:
         """Exact Betti number; requires degree k+1 to be built."""
@@ -177,22 +185,16 @@ def build_complex(paths_per_degree: list[list[Path]], boundary_of=boundary_of_pa
                     f"allowed path lists are not prefix/suffix closed at degree {k}: {path}"
                 )
     n0 = len(paths_per_degree[0])
-    empty = QMatrix(0, n0)
-    degrees = [DegreeData(paths_per_degree[0], QMatrix.identity(n0), empty, empty, None)]
+    degrees = [DegreeData(paths_per_degree[0], QMatrix.identity(n0), QMatrix(0, n0), None)]
     for k in range(1, len(paths_per_degree)):
         paths_k = paths_per_degree[k]
-        paths_km1 = paths_per_degree[k - 1]
-        allowed, disallowed, _ = split_boundary(paths_k, paths_km1, boundary_of)
+        allowed, disallowed, _ = split_boundary(paths_k, paths_per_degree[k - 1], boundary_of)
         # with no disallowed row (degree 1 of a digraph) omega is the identity
         omega = qa.kernel_basis(disallowed) if disallowed.rows else QMatrix.identity(len(paths_k))
-        image = allowed @ omega if disallowed.rows else allowed
-        prev = degrees[k - 1]
-        # boundary of each basis vector, re-expressed in the previous degree's basis;
-        # a basis as wide as its degree is the identity, and there the image is the boundary
-        boundary = image if prev.omega.cols == len(paths_km1) else qa.solve(prev.omega, image)
-        if k >= 2 and not (prev.boundary @ boundary).is_zero():
+        d = DegreeData(paths_k, omega, allowed, degrees[k - 1])
+        if k >= 2 and not (d.prev.boundary @ d.boundary).is_zero():
             raise StructuralError(f"boundary composition at degree {k} is nonzero")
-        degrees.append(DegreeData(paths_k, omega, boundary, allowed, prev, image))
+        degrees.append(d)
     return ChainComplex(degrees)
 
 
@@ -265,14 +267,14 @@ def embed_paths(sub: list[Path], ambient: list[Path]) -> QMatrix:
 def _subcomplex(ambient: ChainComplex, bases: list[QMatrix]) -> ChainComplex:
     """The subcomplex with these per-degree bases in ambient path coordinates.
 
-    Each restricted boundary is solved for in the previous degree's basis,
-    which raises unless the boundary lands in the subcomplex.
+    Each degree's boundary is formed as it is built, which raises unless the
+    restricted boundary lands in the subcomplex.
     """
     degrees: list[DegreeData] = []
     for k, (a, basis) in enumerate(zip(ambient.degrees, bases)):
-        prev = degrees[k - 1] if k else None
-        boundary = qa.solve(bases[k - 1], a.allowed @ basis) if k else QMatrix(0, basis.cols)
-        degrees.append(DegreeData(a.paths, basis, boundary, a.allowed, prev))
+        d = DegreeData(a.paths, basis, a.allowed, degrees[k - 1] if k else None)
+        d.boundary  # formed now, so a boundary that leaves the subcomplex raises here
+        degrees.append(d)
     return ChainComplex(degrees)
 
 

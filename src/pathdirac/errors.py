@@ -17,12 +17,10 @@ class ParseError(PathDiracError):
     exit_code = 2
 
     def __init__(self, message, path=None, line=None):
-        loc = ""
-        if path is not None:
-            loc = f"{path}:"
-            if line is not None:
-                loc += f"{line}:"
-            loc += " "
+        if path is None:
+            loc = "" if line is None else f"line {line}: "
+        else:
+            loc = f"{path}: " if line is None else f"{path}:{line}: "
         super().__init__(f"{loc}{message}")
 
 

@@ -107,23 +107,14 @@ class AuxiliaryComplex(ChainComplex):
     """Preimage complex of a stage pair (a <= b), in stage-b coordinates.
 
     Degree k holds the stage-b vectors whose boundary lies in the stage-a
-    space; its Betti numbers and Dirac operator are those of any complex. It
-    holds bases, dimensions, closed-form ranks and float blocks; a degree it
-    rebuilds has no exact boundary, since nothing reads one, and its ∂∂ = 0
+    space; its Betti numbers and Dirac operator are those of any complex. A
+    degree it rebuilds shares stage b's paths and float block, and its ∂∂ = 0
     follows from stage b's.
     """
 
-    def __init__(self, stage_a: ChainComplex, stage_b: ChainComplex,
-                 c_bases: list[QMatrix], degrees: list[DegreeData]):
+    def __init__(self, stage_a: ChainComplex, degrees: list[DegreeData]):
         super().__init__(degrees)
-        self.stage_a, self.stage_b = stage_a, stage_b
-        self.c_bases = c_bases  # auxiliary space bases in the stage-b basis
-
-    def boundary_rank(self, k: int) -> int:
-        """dim C_k - dim ker ∂_k(b): every stage-b cycle lies in C_k, so they share a kernel."""
-        if not 1 <= k <= self.p_top:
-            return 0
-        return self.dim(k) - self.stage_b.down_nullity(k)
+        self.stage_a = stage_a
 
 
 def auxiliary_complex(stages: StageComplexes, a: int, b: int) -> AuxiliaryComplex:
@@ -132,7 +123,6 @@ def auxiliary_complex(stages: StageComplexes, a: int, b: int) -> AuxiliaryComple
         raise ValueError(f"invalid stage pair ({a}, {b})")
     ca = stages.stage(a)
     cb = stages.stage(b)
-    c_bases: list[QMatrix] = [QMatrix.identity(cb.dim(0))]
     degrees: list[DegreeData] = [cb.degrees[0]]
     for k in range(1, stages.p_top + 1):
         # ∂x of x in Ω_k(b) is a cycle, so it lies in Ω_{k-1}(a) exactly when it
@@ -143,13 +133,12 @@ def auxiliary_complex(stages: StageComplexes, a: int, b: int) -> AuxiliaryComple
         leave = QMatrix(len(rows), d_k.omega.cols, rows)
         if degrees[k - 1] is prev and leave.is_zero():
             # C_{k-1} is Ω_{k-1}(b) and no boundary leaves stage a, so C_k is Ω_k(b)
-            c_bases.append(QMatrix.identity(d_k.omega.cols))
             degrees.append(d_k)
             continue
-        c_bases.append(qa.preimage_basis(leave, QMatrix(leave.rows, 0)))
-        degrees.append(DegreeData(d_k.paths, d_k.omega @ c_bases[k], None, d_k.allowed,
-                                  degrees[k - 1], stage=d_k))
-    return AuxiliaryComplex(ca, cb, c_bases, degrees)
+        c_k = qa.preimage_basis(leave, QMatrix(leave.rows, 0))  # C_k in the Ω_k(b) basis
+        degrees.append(DegreeData(d_k.paths, d_k.omega @ c_k, d_k.allowed, degrees[k - 1],
+                                  stage=d_k))
+    return AuxiliaryComplex(ca, degrees)
 
 
 def persistent_dirac(aux: AuxiliaryComplex, p: int,
@@ -166,12 +155,13 @@ def persistent_laplacian(aux: AuxiliaryComplex, n: int) -> Laplacian:
     """
     if not 0 <= n <= aux.p_top - 1:
         raise ValueError(f"persistent laplacian degree {n} needs stages built to degree {n + 1}")
-    ca, cb = aux.stage_a, aux.stage_b
+    ca = aux.stage_a
     b_down = ca.degrees[n].boundary_ortho
     down = b_down.T @ b_down
-    embed = embed_paths(ca.degrees[n].paths, cb.degrees[n].paths).to_float()
+    # the auxiliary degrees share stage b's paths and allowed blocks
+    embed = embed_paths(ca.degrees[n].paths, aux.degrees[n].paths).to_float()
     q_a = embed @ ca.degrees[n].ortho
-    m = q_a.T @ (cb.degrees[n + 1].allowed_block @ aux.degrees[n + 1].ortho)
+    m = q_a.T @ (aux.degrees[n + 1].allowed_block @ aux.degrees[n + 1].ortho)
     # The auxiliary boundary lands in the stage-a space, whose basis is injective
     # in stage b, so its rank is the rank of the map into stage a.
     nullity = ca.dim(n) - ca.boundary_rank(n) - aux.boundary_rank(n + 1)

@@ -10,7 +10,8 @@ column-space and preimage bases read off it. The one exception is
 route: the package's `rational.preimage_basis`, with every re-expression
 solved by `oracle_dense_rref`, never through `rational.solve`. These stay
 deliberately slow and simple so they can sit in judgment over the fast
-implementations.
+implementations. `auxiliary_bases` judges nothing: it reads the package's
+auxiliary bases back into stage-b coordinates for the oracles to judge.
 """
 
 from __future__ import annotations
@@ -298,3 +299,10 @@ def oracle_auxiliary_route(stages, a: int, b: int) -> tuple[list[QMatrix], list[
         image = cb.degrees[k].boundary @ bases[k]
         boundaries.append(_gauss_jordan_solve(bases[k - 1], image))
     return bases, boundaries
+
+
+def auxiliary_bases(stages, aux, b: int) -> list[QMatrix]:
+    """The auxiliary space bases in stage b's basis, per degree. Stage b's omega
+    is an injective echelon basis, so `rational.solve` recovers them exactly."""
+    cb = stages.stage(b)
+    return [qa.solve(cb.degrees[k].omega, d.omega) for k, d in enumerate(aux.degrees)]

@@ -13,6 +13,7 @@ from oracles import (
 )
 from pathdirac import Digraph, Hypergraph, boundary_of_path, dirac, laplacian
 from pathdirac import rational as qa
+from pathdirac import chain
 from pathdirac.chain import (
     build_complex,
     build_digraph_complex,
@@ -296,3 +297,12 @@ def test_hypergraph_complex_two_triangles():
     c = build_hypergraph_complex(h, 2)
     assert c.betti_vector() == [2, 0]
     assert c.boundary_rank(2) == 8
+
+
+def test_subcomplex_boundary_must_land_in_the_subcomplex():
+    """A degree-1 basis whose boundary leaves the degree-0 basis is refused as it is built."""
+    ambient = build_digraph_complex(Digraph.of([0, 1], [(0, 1)]), 1)
+    bases = [QMatrix.from_rows([[1], [0]]), QMatrix.identity(1)]
+    with pytest.raises(StructuralError,
+                       match=r"^linear system is inconsistent: target not in column span$"):
+        chain._subcomplex(ambient, bases)

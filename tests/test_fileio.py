@@ -49,6 +49,17 @@ def test_parse_digraph_errors_carry_line_numbers():
         parse_digraph("3 3\n")  # loop
 
 
+def test_parse_errors_without_a_path_name_the_line():
+    with pytest.raises(ParseError, match="^line 2: expected `u v`, got '1 2 3'$"):
+        parse_digraph("0 1\n1 2 3\n")
+    with pytest.raises(ParseError, match="^g.txt:2: expected `u v`, got '1 2 3'$"):
+        parse_digraph("0 1\n1 2 3\n", path="g.txt")
+    with pytest.raises(ParseError, match="^loop edge 3->3 is not permitted$"):
+        parse_digraph("3 3\n")
+    with pytest.raises(ParseError, match="^g.txt: loop edge 3->3 is not permitted$"):
+        parse_digraph("3 3\n", path="g.txt")
+
+
 def test_parse_hypergraph():
     h = parse_hypergraph("0 1 2\n3 4 5\n")
     assert h.hyperedges == ((0, 1, 2), (3, 4, 5))

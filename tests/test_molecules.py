@@ -91,6 +91,14 @@ def test_parse_malformed_lines():
         parse_xyz("1\ncomment\nH 0 zero 0\n")
 
 
+def test_parse_errors_without_a_path_name_the_line():
+    text = "2\nc\nH 0 0 0\nH 1 0\n"
+    with pytest.raises(ParseError, match=r"^line 4: atom row needs `Element x y z`$"):
+        parse_xyz(text)
+    with pytest.raises(ParseError, match=r"^w\.xyz:4: atom row needs `Element x y z`$"):
+        parse_xyz(text, "w.xyz")
+
+
 def test_bond_inference_water():
     mol = parse_xyz(WATER_XYZ.split("BOND")[0])
     assert mol.bonds == ((0, 1), (0, 2))  # H-H stays unbonded

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from conftest import molecule_filtration
 from oracles import (
     _gauss_jordan_solve,
+    auxiliary_bases,
     is_subspace,
     oracle_a_in_b,
     oracle_auxiliary_route,
@@ -112,13 +113,17 @@ def test_sandwich_containment_on_corpus(filtration_stage_complexes):
             for b in range(a, n + 1):
                 aux = auxiliary_complex(stages, a, b)
                 a_in_b = oracle_a_in_b(stages, a, b)
+                c_bases = auxiliary_bases(stages, aux, b)
                 for k in range(aux.p_top + 1):
-                    assert is_subspace(a_in_b[k], aux.c_bases[k])
+                    assert is_subspace(a_in_b[k], c_bases[k])
 
 
 def test_auxiliary_boundary_lands_in_stage_a(filtration_stage_complexes):
     """The auxiliary boundary is a map into the stage-a space, and its rank there
-    (the rank the persistent Laplacian's nullity uses) is the exact boundary rank."""
+    (the rank the persistent Laplacian's nullity uses) is the exact boundary rank.
+    A rebuilt degree's own boundary, formed by `rational.solve`, lands in C_{k-1}
+    and has the closed-form rank."""
+    rebuilt = 0
     for stages in filtration_stage_complexes[:60]:
         n = len(stages)
         for a in range(1, n + 1):
@@ -127,10 +132,15 @@ def test_auxiliary_boundary_lands_in_stage_a(filtration_stage_complexes):
                 assert isinstance(aux, ChainComplex)
                 cb = stages.stage(b)
                 a_in_b = oracle_a_in_b(stages, a, b)
+                c_bases = auxiliary_bases(stages, aux, b)
                 for k in range(1, aux.p_top + 1):
                     into_a = _gauss_jordan_solve(a_in_b[k - 1],
-                                                 cb.degrees[k].boundary @ aux.c_bases[k])
+                                                 cb.degrees[k].boundary @ c_bases[k])
                     assert sympy_rank(into_a) == aux.boundary_rank(k)
+                    if aux.degrees[k].stage is not None:
+                        rebuilt += 1
+                        assert qa.rank(aux.degrees[k].boundary) == aux.boundary_rank(k)
+    assert rebuilt > 0
 
 
 def growing_filtration(rng: random.Random, hyper: bool) -> Filtration:
@@ -174,13 +184,14 @@ def assert_matches_preimage_route(stages: StageComplexes) -> int:
         for b in range(a, n + 1):
             aux = auxiliary_complex(stages, a, b)
             bases, boundaries = oracle_auxiliary_route(stages, a, b)
-            assert aux.c_bases == bases
+            c_bases = auxiliary_bases(stages, aux, b)
+            assert c_bases == bases
             for k in range(1, aux.p_top + 1):
                 assert aux.boundary_rank(k) == sympy_rank(boundaries[k])
             for k in range(2, aux.p_top + 1):
                 assert (boundaries[k - 1] @ boundaries[k]).is_zero()
             for k, stage_a in enumerate(oracle_a_in_b(stages, a, b)):
-                assert is_subspace(stage_a, aux.c_bases[k])
+                assert is_subspace(stage_a, c_bases[k])
     return n * (n + 1) // 2
 
 
@@ -543,10 +554,17 @@ def test_feature_grid_diagonal_matches_ordinary(filtration_stage_complexes):
 
 
 def test_feature_grid_jobs_deterministic():
+    """Pool threads give the grid that one thread does. Each molecule run builds
+    its stages afresh to degree p + 1, so at p = 0 every stage's degree-1 rank is
+    first formed inside the pool."""
     stages = two_stage([], [(0, 1), (1, 2), (2, 0)], [0, 1, 2])
     g1 = feature_grid(stages, 1, jobs=1)
     g2 = feature_grid(stages, 1, jobs=4)
     assert g1.rows() == g2.rows()
+    for p in (0, 1):
+        rows = [feature_grid(StageComplexes(molecule_filtration(), p + 1), p, jobs=jobs).rows()
+                for jobs in (1, 3)]
+        assert rows[0] == rows[1], p
 
 
 def test_grid_leaves_shared_stage_data_unchanged(molecule_stage_complexes):
@@ -558,7 +576,7 @@ def test_grid_leaves_shared_stage_data_unchanged(molecule_stage_complexes):
                                            for hyper in (False, True) for _ in range(20)]
     for stages in corpus:
         shared = [m for c in stages.complexes for d in c.degrees
-                  for m in (d.omega, d.boundary, d.image) if m is not None]
+                  for m in (d.omega, d.boundary, d.image)]
         before = copy.deepcopy(shared)
         auxiliary_complex(stages, 1, len(stages))
         feature_grid(stages, 1, jobs=3)
