@@ -45,7 +45,6 @@ from .operators import (
     laplacian,
 )
 from .persistence import (
-    AuxiliaryComplex,
     FeatureGrid,
     Filtration,
     StageComplexes,
@@ -60,7 +59,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Atom",
-    "AuxiliaryComplex",
     "ChainComplex",
     "Digraph",
     "Dirac",

@@ -186,7 +186,7 @@ def filtration_check_suite(stages: StageComplexes, p: int = 1) -> list[CheckResu
                     )
                 )
             for n in range(p + 1):
-                pers = persistent_laplacian(aux, n)
+                pers = persistent_laplacian(stages.stage(a), aux, n)
                 eta_a = stages.stage(a).betti(n)
                 eta_pers = pers.exact_nullity
                 eta_c = aux.betti(n)

@@ -138,6 +138,8 @@ def eigen_spectrum(matrix: np.ndarray, exact_nullity: int,
     n = matrix.shape[0]
     if n == 0:
         return Spectrum(np.zeros(0), zero_tol, exact_nullity=0)
+    if not np.isfinite(matrix).all():
+        raise NumericalInconsistencyError(f"the {n}x{n} operator has a non-finite entry")
     if not np.array_equal(matrix, matrix.T):  # an exactly symmetric M is (M + Mᵀ)/2 bit for bit
         asym = np.max(np.abs(matrix - matrix.T))
         if asym > 1e-10:

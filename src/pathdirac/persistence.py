@@ -103,22 +103,15 @@ class StageComplexes:
         return self.complexes[i - 1]
 
 
-class AuxiliaryComplex(ChainComplex):
-    """Preimage complex of a stage pair (a <= b), in stage-b coordinates.
+def auxiliary_complex(stages: StageComplexes, a: int, b: int) -> ChainComplex:
+    """Auxiliary complex of the stage pair a <= b to the built degree, in stage-b
+    coordinates.
 
     Degree k holds the stage-b vectors whose boundary lies in the stage-a
     space; its Betti numbers and Dirac operator are those of any complex. A
     degree it rebuilds shares stage b's paths and float block, and its ∂∂ = 0
     follows from stage b's.
     """
-
-    def __init__(self, stage_a: ChainComplex, degrees: list[DegreeData]):
-        super().__init__(degrees)
-        self.stage_a = stage_a
-
-
-def auxiliary_complex(stages: StageComplexes, a: int, b: int) -> AuxiliaryComplex:
-    """Build the auxiliary complex for the stage pair a <= b to the built degree."""
     if not 1 <= a <= b <= len(stages):
         raise ValueError(f"invalid stage pair ({a}, {b})")
     ca = stages.stage(a)
@@ -138,33 +131,32 @@ def auxiliary_complex(stages: StageComplexes, a: int, b: int) -> AuxiliaryComple
         c_k = qa.preimage_basis(leave, QMatrix(leave.rows, 0))  # C_k in the Ω_k(b) basis
         degrees.append(DegreeData(d_k.paths, d_k.omega @ c_k, d_k.allowed, degrees[k - 1],
                                   stage=d_k))
-    return AuxiliaryComplex(ca, degrees)
+    return ChainComplex(degrees)
 
 
-def persistent_dirac(aux: AuxiliaryComplex, p: int,
+def persistent_dirac(aux: ChainComplex, p: int,
                      dense_limit: int = DEFAULT_DENSE_LIMIT) -> Dirac:
     """Dirac operator of the auxiliary complex over degree blocks 0..p+1."""
     return dirac(aux, p, dense_limit)
 
 
-def persistent_laplacian(aux: AuxiliaryComplex, n: int) -> Laplacian:
+def persistent_laplacian(stage_a: ChainComplex, aux: ChainComplex, n: int) -> Laplacian:
     """Persistent Laplacian on the stage-a degree-n space.
 
     Down part from the stage-a boundary; up part from the boundary of the
-    auxiliary degree-(n+1) space mapped into stage a.
+    auxiliary degree-(n+1) space, read at stage a's rows of stage b's paths.
     """
     if not 0 <= n <= aux.p_top - 1:
         raise ValueError(f"persistent laplacian degree {n} needs stages built to degree {n + 1}")
-    ca = aux.stage_a
-    b_down = ca.degrees[n].boundary_ortho
-    down = b_down.T @ b_down
+    d_a, up = stage_a.degrees[n], aux.degrees[n + 1]
+    down = d_a.boundary_ortho.T @ d_a.boundary_ortho
     # the auxiliary degrees share stage b's paths and allowed blocks
-    embed = embed_paths(ca.degrees[n].paths, aux.degrees[n].paths).to_float()
-    q_a = embed @ ca.degrees[n].ortho
-    m = q_a.T @ (aux.degrees[n + 1].allowed_block @ aux.degrees[n + 1].ortho)
+    index = {path: i for i, path in enumerate(aux.degrees[n].paths)}
+    rows = [index[path] for path in d_a.paths]
+    m = d_a.ortho.T @ (up.allowed_block[rows] @ up.ortho)
     # The auxiliary boundary lands in the stage-a space, whose basis is injective
     # in stage b, so its rank is the rank of the map into stage a.
-    nullity = ca.dim(n) - ca.boundary_rank(n) - aux.boundary_rank(n + 1)
+    nullity = stage_a.dim(n) - stage_a.boundary_rank(n) - aux.boundary_rank(n + 1)
     return Laplacian(n, m @ m.T + down, nullity)
 
 

@@ -5,13 +5,16 @@ enumeration is brute force over vertex tuples, ranks come from sympy, and
 Betti numbers use the embedded-homology quotient formula over unrestricted
 boundary matrices. Exact elimination has a second judge besides sympy: the
 dense Fraction Gauss-Jordan `oracle_dense_rref`, with the kernel,
-column-space and preimage bases read off it. The one exception is
-`oracle_auxiliary_route`, which builds the auxiliary complex along a second
-route: the package's `rational.preimage_basis`, with every re-expression
-solved by `oracle_dense_rref`, never through `rational.solve`. These stay
-deliberately slow and simple so they can sit in judgment over the fast
-implementations. `auxiliary_bases` judges nothing: it reads the package's
-auxiliary bases back into stage-b coordinates for the oracles to judge.
+column-space and preimage bases read off it. There are two exceptions.
+`oracle_auxiliary_route` builds the auxiliary complex along a second route:
+the package's `rational.preimage_basis`, with every re-expression solved by
+`oracle_dense_rref`, never through `rational.solve`. And
+`persistent_laplacian_by_embedding` reads the package's float blocks, but
+carries stage a into stage b's path coordinates by a float 0/1 embedding
+instead of selecting its rows. These stay deliberately slow and simple so
+they can sit in judgment over the fast implementations. `auxiliary_bases`
+judges nothing: it reads the package's auxiliary bases back into stage-b
+coordinates for the oracles to judge.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import sympy
 from pathdirac import rational as qa
 from pathdirac.chain import embed_paths
 from pathdirac.graphs import Digraph, Hypergraph
+from pathdirac.operators import Laplacian
 from pathdirac.rational import QMatrix
 
 
@@ -306,3 +310,19 @@ def auxiliary_bases(stages, aux, b: int) -> list[QMatrix]:
     is an injective echelon basis, so `rational.solve` recovers them exactly."""
     cb = stages.stage(b)
     return [qa.solve(cb.degrees[k].omega, d.omega) for k, d in enumerate(aux.degrees)]
+
+
+def persistent_laplacian_by_embedding(stage_a, aux, n: int) -> Laplacian:
+    """The persistent Laplacian on stage a's degree-n space along the embedding route.
+
+    Stage a's orthonormal basis is carried into stage b's path coordinates by
+    the dense 0/1 embedding before the auxiliary up block meets it. The nullity
+    is dim - rank of stage a's degree-n image - rank of the auxiliary
+    degree-(n+1) image, each image ranked afresh in path coordinates.
+    """
+    d_a, up = stage_a.degrees[n], aux.degrees[n + 1]
+    embed = embed_paths(d_a.paths, aux.degrees[n].paths).to_float()
+    m = (embed @ d_a.ortho).T @ (up.allowed_block @ up.ortho)
+    down = d_a.boundary_ortho.T @ d_a.boundary_ortho
+    nullity = d_a.omega.cols - qa.rank(d_a.image) - qa.rank(up.image)
+    return Laplacian(n, m @ m.T + down, nullity)

@@ -246,7 +246,7 @@ def test_property_persistence_identities(filtration_stage_complexes):
                     assert is_subspace(stage_a, c_bases[k])
                 assert aux.betti(0) == stages.stage(b).betti(0)
                 for deg in (0, 1):
-                    eta_pers = persistent_laplacian(aux, deg).exact_nullity
+                    eta_pers = persistent_laplacian(stages.stage(a), aux, deg).exact_nullity
                     assert stages.stage(a).betti(deg) >= eta_pers
                     assert aux.betti(deg) >= eta_pers
                 if a == b:
@@ -319,7 +319,7 @@ def test_persistent_laplacian_dirac_non_redundancy():
             2,
         )
         aux = auxiliary_complex(stages, 1, 2)
-        lap = persistent_laplacian(aux, 1)
+        lap = persistent_laplacian(stages.stage(1), aux, 1)
         d = persistent_dirac(aux, 1)
         spec_l = eigen_spectrum(lap.matrix, lap.exact_nullity)
         spec_d = eigen_spectrum(d.matrix, d.exact_nullity)

@@ -156,6 +156,18 @@ def test_eigen_spectrum_rejects_asymmetric():
         eigen_spectrum(m, exact_nullity=1)
 
 
+@pytest.mark.parametrize("nullity", [0, 1])
+@pytest.mark.parametrize("matrix", [[[np.nan]], [[np.inf, 0.0], [0.0, 1.0]]])
+def test_eigen_spectrum_rejects_a_non_finite_entry(matrix, nullity):
+    """A NaN or infinite entry is refused as such, at any claimed nullity, rather
+    than returning NaN eigenvalues or a misleading zero-count error."""
+    m = np.array(matrix)
+    n = m.shape[0]
+    with pytest.raises(NumericalInconsistencyError,
+                       match=f"^the {n}x{n} operator has a non-finite entry$"):
+        eigen_spectrum(m, exact_nullity=nullity)
+
+
 def test_eigen_spectrum_symmetric_input_matches_symmetrised(digraph_complexes):
     """An exactly symmetric M goes to eigvalsh as is; (M + Mᵀ)/2 is M bit for bit."""
     for _, c in digraph_complexes[:60]:

@@ -21,6 +21,7 @@ from oracles import (
     oracle_a_in_b,
     oracle_auxiliary_route,
     oracle_persistent_betti,
+    persistent_laplacian_by_embedding,
     sympy_rank,
 )
 from pathdirac import (
@@ -406,7 +407,7 @@ def test_persistent_laplacian_equal_pair_matches_ordinary():
     stages = two_stage([(0, 1), (1, 2), (2, 0)], [(0, 1), (1, 2), (2, 0)], [0, 1, 2])
     aux = auxiliary_complex(stages, 1, 1)
     for n in range(2):
-        pers = persistent_laplacian(aux, n)
+        pers = persistent_laplacian(stages.stage(1), aux, n)
         ordinary = laplacian(stages.stage(1), n)
         np.testing.assert_allclose(pers.matrix, ordinary.matrix, atol=1e-12)
         assert pers.exact_nullity == ordinary.exact_nullity
@@ -415,10 +416,25 @@ def test_persistent_laplacian_equal_pair_matches_ordinary():
 def test_persistent_laplacian_vertices_only_stage_a():
     stages = two_stage([], [(0, 1), (2, 3)], [0, 1, 2, 3])
     aux = auxiliary_complex(stages, 1, 2)
-    pers = persistent_laplacian(aux, 0)
-    b_a = aux.stage_a.degrees[0].boundary_ortho
+    pers = persistent_laplacian(stages.stage(1), aux, 0)
+    b_a = stages.stage(1).degrees[0].boundary_ortho
     assert not (b_a.T @ b_a).any()  # the down part, from stage a's boundary
     assert np.linalg.matrix_rank(pers.matrix) == 2  # rank of the boundary into stage a
+
+
+def test_persistent_laplacian_matches_the_embedding_route(filtration_stage_complexes):
+    """Stage a's rows of the auxiliary up block against stage a carried into stage b
+    by a float 0/1 embedding, on every pair and n in {0, 1}."""
+    for stages in filtration_stage_complexes:
+        n_stages = len(stages)
+        for a in range(1, n_stages + 1):
+            for b in range(a, n_stages + 1):
+                aux = auxiliary_complex(stages, a, b)
+                for n in range(2):
+                    pers = persistent_laplacian(stages.stage(a), aux, n)
+                    judge = persistent_laplacian_by_embedding(stages.stage(a), aux, n)
+                    np.testing.assert_allclose(pers.matrix, judge.matrix, rtol=0, atol=1e-12)
+                    assert pers.exact_nullity == judge.exact_nullity
 
 
 def test_persistent_dirac_example_stage_values():
@@ -475,7 +491,7 @@ def test_monotone_nullities_on_corpus(filtration_stage_complexes):
             for b in range(a, n + 1):
                 aux = auxiliary_complex(stages, a, b)
                 for deg in range(2):
-                    eta_pers = persistent_laplacian(aux, deg).exact_nullity
+                    eta_pers = persistent_laplacian(stages.stage(a), aux, deg).exact_nullity
                     assert stages.stage(a).betti(deg) >= eta_pers
                     assert aux.betti(deg) >= eta_pers
 
