@@ -33,10 +33,6 @@ class CheckResult:
     detail: str
 
 
-def _result(name: str, passed: bool, detail: str) -> CheckResult:
-    return CheckResult(name, bool(passed), detail)
-
-
 def spectrum_symmetry_defect(spec: Spectrum) -> float:
     """Max distance between the spectrum and its negation (0 for Dirac spectra)."""
     if len(spec.values) == 0:
@@ -64,11 +60,12 @@ def check_dirac_identities(c: ChainComplex, laps: list[Laplacian]) -> list[Check
         exact = d.exact_nullity
         sym = spectrum_symmetry_defect(eigen_spectrum(d.matrix, exact))
         float_nullity = d.matrix.shape[0] - float_rank(d.matrix)
-        squares.append(_result(
+        squares.append(CheckResult(
             f"dirac-square-p{p}", defect <= 1e-10 and sym <= 1e-8,
             f"square defect {defect:.3e}, nullity {exact} vs {exact}, spectrum symmetry {sym:.3e}"))
-        symmetry.append(_result(f"dirac-spectrum-symmetry-p{p}", sym <= 1e-8, f"defect {sym:.3e}"))
-        nullity.append(_result(
+        symmetry.append(CheckResult(f"dirac-spectrum-symmetry-p{p}", sym <= 1e-8,
+                                    f"defect {sym:.3e}"))
+        nullity.append(CheckResult(
             f"dirac-nullity-identity-p{p}", float_nullity == exact,
             f"exact {exact}, betti-sum form {exact}, float-rank form {float_nullity}"))
     return squares + symmetry + nullity
@@ -84,7 +81,7 @@ def check_exact_vs_float_ranks(c: ChainComplex, laps: list[Laplacian]) -> CheckR
         exact_eta = lap.exact_nullity
         numeric_eta = lap.matrix.shape[0] - float_rank(lap.matrix)
         worst = max(worst, abs(exact_eta - numeric_eta))
-    return _result("exact-vs-float-rank", worst == 0, f"max rank disagreement {worst}")
+    return CheckResult("exact-vs-float-rank", worst == 0, f"max rank disagreement {worst}")
 
 
 def check_h1_formula(g: Digraph, c: ChainComplex) -> CheckResult:
@@ -95,7 +92,7 @@ def check_h1_formula(g: Digraph, c: ChainComplex) -> CheckResult:
     """
     formula = h1_rank(g, c.boundary_rank(2))
     betti1 = c.betti(1)
-    return _result("h1-closed-form", formula == betti1, f"formula {formula}, betti {betti1}")
+    return CheckResult("h1-closed-form", formula == betti1, f"formula {formula}, betti {betti1}")
 
 
 def check_embedded_homology(ambient: ChainComplex, submods: list[qa.QMatrix],
@@ -103,7 +100,7 @@ def check_embedded_homology(ambient: ChainComplex, submods: list[qa.QMatrix],
     """Infimum and supremum subcomplexes of the anchor spans agree in homology."""
     bi = inf.betti_vector()
     bs = supremum_complex(ambient, submods).betti_vector()
-    return _result("embedded-homology", bi == bs, f"infimum {bi}, supremum {bs}")
+    return CheckResult("embedded-homology", bi == bs, f"infimum {bi}, supremum {bs}")
 
 
 def check_omega_against_infimum(c: ChainComplex, submods: list[qa.QMatrix],
@@ -111,15 +108,15 @@ def check_omega_against_infimum(c: ChainComplex, submods: list[qa.QMatrix],
     """Kernel-method invariant spaces match the generic infimum construction."""
     for k in range(c.p_top + 1):
         if not qa.spans_equal(submods[k] @ c.degrees[k].omega, inf.degrees[k].omega):
-            return _result("omega-vs-infimum", False, f"span mismatch at degree {k}")
-    return _result("omega-vs-infimum", True, "identical spans at every degree")
+            return CheckResult("omega-vs-infimum", False, f"span mismatch at degree {k}")
+    return CheckResult("omega-vs-infimum", True, "identical spans at every degree")
 
 
 def check_degree2_fast_path(g: Digraph, c: ChainComplex) -> CheckResult:
     """Triangle/square generators of walk digraph g span the kernel-method degree-2 space."""
     fast = omega2_generators_fast(g, c.degrees[2].paths)
     ok = qa.spans_equal(fast, c.degrees[2].omega)
-    return _result("degree2-fast-path", ok, f"fast dim {qa.rank(fast)}, kernel dim {c.dim(2)}")
+    return CheckResult("degree2-fast-path", ok, f"fast dim {qa.rank(fast)}, kernel dim {c.dim(2)}")
 
 
 def graph_check_suite(graph: Digraph | Hypergraph, c: ChainComplex) -> list[CheckResult]:
@@ -134,7 +131,7 @@ def graph_check_suite(graph: Digraph | Hypergraph, c: ChainComplex) -> list[Chec
     laps = [laplacian(c, i) for i in range(c.p_top)]  # shared by the square and rank checks
     # ∂∂ = 0 is not recomputed: `build_complex` raises a StructuralError (exit 4)
     # on a nonzero composition, so c satisfies it.
-    results = [_result("boundary-composition-zero", True, "exact at all degrees")]
+    results = [CheckResult("boundary-composition-zero", True, "exact at all degrees")]
     results.extend(check_dirac_identities(c, laps))
     results.append(check_exact_vs_float_ranks(c, laps))
     if c.p_top >= 2:  # the closed form and the fast path read degree 2
@@ -167,7 +164,7 @@ def filtration_check_suite(stages: StageComplexes, p: int = 1) -> list[CheckResu
             exact, zeros = d.exact_nullity, spec.zero_count()
             float_nullity = d.matrix.shape[0] - float_rank(d.matrix)
             results.append(
-                _result(
+                CheckResult(
                     f"persistent-nullity{tag}",
                     zeros == exact and float_nullity == exact,
                     f"exact {exact}, zeros {zeros}, float {float_nullity}",
@@ -179,7 +176,7 @@ def filtration_check_suite(stages: StageComplexes, p: int = 1) -> list[CheckResu
                 s2 = eigen_spectrum(d_ord.matrix, d_ord.exact_nullity).values
                 defect = float(np.max(np.abs(s1 - s2))) if len(s1) else 0.0
                 results.append(
-                    _result(
+                    CheckResult(
                         f"a-eq-b-reduction{tag}",
                         s1.shape == s2.shape and defect <= 1e-8,
                         f"spectrum defect {defect:.3e}",
@@ -192,7 +189,7 @@ def filtration_check_suite(stages: StageComplexes, p: int = 1) -> list[CheckResu
                 eta_c = aux.betti(n)
                 ok = eta_a >= eta_pers and eta_c >= eta_pers
                 results.append(
-                    _result(
+                    CheckResult(
                         f"monotone-nullity-n{n}{tag}",
                         ok,
                         f"stage-a {eta_a} >= persistent {eta_pers} <= auxiliary {eta_c}",
@@ -202,7 +199,7 @@ def filtration_check_suite(stages: StageComplexes, p: int = 1) -> list[CheckResu
             beta0_m = stages.stage(b).betti(0)
             graphs = stages.filtration.stages
             results.append(
-                _result(
+                CheckResult(
                     f"beta0-pair{tag}",
                     beta0_aux == pair_beta0(graphs[a - 1], graphs[b - 1]),
                     f"auxiliary {beta0_aux}, stage-m {beta0_m}",

@@ -19,6 +19,7 @@ from .chain import build_digraph_complex, build_hypergraph_complex
 from .checks import filtration_check_suite, graph_check_suite
 from .errors import PathDiracError, ResourceLimitError
 from .fileio import (
+    atomic_write_text,
     grid_csv,
     grid_payload,
     load_graph,
@@ -40,7 +41,6 @@ from .operators import (
     laplacian,
 )
 from .persistence import DEFAULT_FEATURES, StageComplexes, feature_grid, threshold_problem
-from .fileio import atomic_write_text
 
 
 class CliParser(argparse.ArgumentParser):
@@ -209,9 +209,8 @@ def cmd_dirac(args) -> int:
     write_json(out, doc)
     if args.dump_matrices:
         for name, op in built.items():
-            rows = [[f"{v:.12g}" for v in row] for row in op.matrix]
             write_csv(args.out / f"{stem}.{name}.csv",
-                      [f"c{j}" for j in range(op.matrix.shape[1])], rows)
+                      [f"c{j}" for j in range(op.matrix.shape[1])], op.matrix.tolist())
     print(
         f"dirac p={args.p}: size={d.matrix.shape[0]} nullity={d.exact_nullity} -> {out}"
     )

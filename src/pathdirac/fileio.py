@@ -248,13 +248,8 @@ def write_json(path, document: dict) -> None:
 
 
 def format_cell(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return f"{sig12(value):.12g}"
-    return str(value)
+    """A float at 12 significant digits (`sig12`); anything else as `str` writes it."""
+    return f"{sig12(value):.12g}" if isinstance(value, float) else str(value)
 
 
 def write_csv(path, header: list[str], rows: list[list]) -> None:
@@ -265,7 +260,10 @@ def write_csv(path, header: list[str], rows: list[list]) -> None:
 
 
 def grid_csv(path, grid: FeatureGrid) -> None:
-    write_csv(path, ["n", "m", *grid.feature_names], grid.rows())
+    """One `n,m,<feature>...` row per cell, in the pair order `grid_payload` writes."""
+    rows = [[n, m, *(getattr(fs, name) for name in grid.feature_names)]
+            for (n, m), fs in sorted(grid.cells.items())]
+    write_csv(path, ["n", "m", *grid.feature_names], rows)
 
 
 def grid_payload(grid: FeatureGrid) -> dict:
@@ -273,8 +271,5 @@ def grid_payload(grid: FeatureGrid) -> dict:
         "degree": grid.degree,
         "stages": grid.size,
         "features": list(grid.feature_names),
-        "cells": [
-            {"n": n, "m": m, **grid.cells[(n, m)].as_dict()}
-            for (n, m) in sorted(grid.cells)
-        ],
+        "cells": [{"n": n, "m": m, **fs.as_dict()} for (n, m), fs in sorted(grid.cells.items())],
     }

@@ -149,10 +149,12 @@ def persistent_laplacian(stage_a: ChainComplex, aux: ChainComplex, n: int) -> La
     if not 0 <= n <= aux.p_top - 1:
         raise ValueError(f"persistent laplacian degree {n} needs stages built to degree {n + 1}")
     d_a, up = stage_a.degrees[n], aux.degrees[n + 1]
-    down = d_a.boundary_ortho.T @ d_a.boundary_ortho
     # the auxiliary degrees share stage b's paths and allowed blocks
     index = {path: i for i, path in enumerate(aux.degrees[n].paths)}
+    if missing := next((path for path in d_a.paths if path not in index), None):
+        raise ValueError(f"stage a's degree-{n} path {missing} is not a path of the pair complex")
     rows = [index[path] for path in d_a.paths]
+    down = d_a.boundary_ortho.T @ d_a.boundary_ortho
     m = d_a.ortho.T @ (up.allowed_block[rows] @ up.ortho)
     # The auxiliary boundary lands in the stage-a space, whose basis is injective
     # in stage b, so its rank is the rank of the map into stage a.
@@ -184,14 +186,6 @@ class FeatureGrid:
     feature_names: tuple[str, ...]
     cells: dict[tuple[int, int], FeatureSet] = field(default_factory=dict)
 
-    def rows(self) -> list[list]:
-        out = []
-        for n in range(1, self.size + 1):
-            for m in range(n, self.size + 1):
-                fs = self.cells[(n, m)]
-                out.append([n, m] + [getattr(fs, name) for name in self.feature_names])
-        return out
-
 
 DEFAULT_FEATURES = ("nullity", "mean_pos", "gen_mean")
 
@@ -217,13 +211,11 @@ def feature_grid(
         n, m = pair
         aux = auxiliary_complex(stages, n, m)
         d = persistent_dirac(aux, p, dense_limit)
-        return pair, features(eigen_spectrum(d.matrix, d.exact_nullity))
+        return features(eigen_spectrum(d.matrix, d.exact_nullity))
 
-    if jobs > 1:
+    if jobs > 1:  # pool.map, like map, yields the results in `pairs` order
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(cell, pairs))
+            grid.cells.update(zip(pairs, pool.map(cell, pairs)))
     else:
-        results = [cell(pair) for pair in pairs]
-    for pair, fs in sorted(results, key=lambda item: item[0]):
-        grid.cells[pair] = fs
+        grid.cells.update(zip(pairs, map(cell, pairs)))
     return grid

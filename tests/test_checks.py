@@ -1,6 +1,7 @@
 """The identity check suites over deterministic and randomized inputs."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -147,6 +148,72 @@ def test_omega_vs_infimum_negative_control(tmp_path, monkeypatch, capsys):
     assert [line for line in lines if line.startswith("FAIL")] == [
         "FAIL omega-vs-infimum: span mismatch at degree 1"]
     assert lines[-1] == "11/12 checks passed"
+
+
+def _top_value_shifted(real):
+    def shifted(matrix, nullity):
+        spec = real(matrix, nullity)
+        values = spec.values.copy()
+        values[-1:] += 1e-6
+        return dataclasses.replace(spec, values=values)
+    return shifted
+
+
+def _stage_b(real):
+    return lambda stages, a, b: stages.stage(b)
+
+
+GROWING = {"s1.txt": "# vertices: 0 1\n0 1\n",
+           "s2.txt": "# vertices: 0 1 2 3\n0 1\n1 2\n2 0\n2 3\n", "g.txt": "s1.txt\ns2.txt\n"}
+CLOSING = {"s1.txt": "# vertices: 0 1 2\n0 1\n",
+           "s2.txt": "# vertices: 0 1 2\n0 1\n1 2\n2 0\n", "g.txt": "s1.txt\ns2.txt\n"}
+TWO_SQUARES = {"g.txt": "0 1\n1 2\n2 0\n0 2\n2 3\n3 0\n"}
+FILTRATION_P2 = ["--kind", "filtration", "--p", "2"]
+
+# family: (input files, check options, `checks` name to patch, fault from the real one,
+# the families that FAIL under the fault)
+NEGATIVE_CONTROLS = {
+    "beta0-pair-p0": (GROWING, ["--kind", "filtration", "--p", "0"], "auxiliary_complex",
+                      _stage_b, {"beta0-pair"}),
+    "beta0-pair-p1": (GROWING, ["--kind", "filtration", "--p", "1"], "auxiliary_complex",
+                      _stage_b, {"beta0-pair"}),
+    "monotone-nullity": (
+        CLOSING, FILTRATION_P2, "persistent_laplacian",
+        lambda real: lambda *args: dataclasses.replace(real(*args), exact_nullity=99),
+        {"monotone-nullity"}),
+    "persistent-nullity": (CLOSING, FILTRATION_P2, "float_rank", lambda real: lambda m: real(m) + 1,
+                           {"persistent-nullity"}),
+    "exact-vs-float-rank": (TWO_SQUARES, ["--p", "2"], "float_rank",
+                            lambda real: lambda m: real(m) + (m.shape[0] != m.shape[1]),
+                            {"exact-vs-float-rank"}),
+    "degree2-fast-path": (
+        TWO_SQUARES, ["--p", "2"], "omega2_generators_fast",
+        lambda real: lambda g, paths: qa.QMatrix.from_rows(
+            [row[:-1] for row in real(g, paths).to_rows()]),
+        {"degree2-fast-path"}),
+    "embedded-homology": (TWO_SQUARES, ["--p", "2"], "supremum_complex",
+                          lambda real: lambda ambient, submods: ambient, {"embedded-homology"}),
+    "dirac-spectrum-symmetry": (TWO_SQUARES, ["--p", "2"], "eigen_spectrum", _top_value_shifted,
+                                {"dirac-square", "dirac-spectrum-symmetry"}),
+}
+
+
+@pytest.mark.parametrize("family", NEGATIVE_CONTROLS)
+def test_check_family_negative_control(family, tmp_path, monkeypatch, capsys):
+    """The same input passes every check line; under the family's fault `check`
+    exits 4, and the lines that FAIL are exactly those of the listed families
+    (a name less its `-p<k>`/`-n<k>` degree and `(a,b)` pair tag)."""
+    files, options, name, fault, failing = NEGATIVE_CONTROLS[family]
+    for file, text in files.items():
+        (tmp_path / file).write_text(text, encoding="utf-8")
+    argv = ["check", str(tmp_path / "g.txt"), *options]
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(checks, name, fault(getattr(checks, name)))
+    assert main(argv) == 4
+    fails = [line.split(":")[0].removeprefix("FAIL ")
+             for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert {re.sub(r"(-[pn]\d+)?(\(\d+,\d+\))?$", "", line) for line in fails} == failing
 
 
 def test_graph_suite_names_in_order():

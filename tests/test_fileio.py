@@ -173,8 +173,9 @@ def test_sig12_and_round_floats():
 
 def test_format_cell():
     assert format_cell(3) == "3"
-    assert format_cell(True) == "1"
     assert format_cell(2.5) == "2.5"
+    assert format_cell(1 / 3) == "0.333333333333"
+    assert format_cell(-0.0) == "0"  # `sig12` maps every zero to 0.0
 
 
 def test_result_document_digest_and_determinism(tmp_path):

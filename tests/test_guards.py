@@ -38,6 +38,13 @@ def laplacian_past_the_top():
     persistent_laplacian(stages.stage(1), auxiliary_complex(stages, 1, 2), 2)
 
 
+def laplacian_of_a_later_stage():
+    # stage 3 adds vertex 2, which the pair complex of stages 1 and 2 lacks
+    stages = StageComplexes(Filtration.of([Digraph.of([0, 1], []), EDGE,
+                                           Digraph.of([0, 1, 2], [(0, 1)])]), 2)
+    persistent_laplacian(stages.stage(3), auxiliary_complex(stages, 1, 2), 0)
+
+
 GUARDS = {
     "betti-out-of-range": (lambda tmp: build_digraph_complex(EDGE, 1).betti(1), ValueError,
                            "betti(1) needs the complex built to degree 2"),
@@ -56,6 +63,8 @@ GUARDS = {
                        "invalid stage pair (2, 1)"),
     "persistent-laplacian-degree": (lambda tmp: laplacian_past_the_top(), ValueError,
                                     "persistent laplacian degree 2 needs stages built to degree 3"),
+    "persistent-laplacian-stage": (lambda tmp: laplacian_of_a_later_stage(), ValueError,
+                                   "stage a's degree-0 path (2,) is not a path of the pair complex"),
     "persistent-betti-pair": (lambda tmp: persistent_betti(two_stages(), 1, 3, 0), ValueError,
                               "invalid stage pair (1, 3)"),
     "persistent-betti-degree": (lambda tmp: persistent_betti(two_stages(), 1, 2, 2), ValueError,

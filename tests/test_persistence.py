@@ -576,11 +576,11 @@ def test_feature_grid_jobs_deterministic():
     stages = two_stage([], [(0, 1), (1, 2), (2, 0)], [0, 1, 2])
     g1 = feature_grid(stages, 1, jobs=1)
     g2 = feature_grid(stages, 1, jobs=4)
-    assert g1.rows() == g2.rows()
+    assert g1.cells == g2.cells
     for p in (0, 1):
-        rows = [feature_grid(StageComplexes(molecule_filtration(), p + 1), p, jobs=jobs).rows()
-                for jobs in (1, 3)]
-        assert rows[0] == rows[1], p
+        cells = [feature_grid(StageComplexes(molecule_filtration(), p + 1), p, jobs=jobs).cells
+                 for jobs in (1, 3)]
+        assert cells[0] == cells[1], p
 
 
 def test_grid_leaves_shared_stage_data_unchanged(molecule_stage_complexes):
