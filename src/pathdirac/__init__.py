@@ -34,9 +34,8 @@ from .molecules import (
     parse_xyz,
 )
 from .operators import (
-    Dirac,
     FeatureSet,
-    Laplacian,
+    Operator,
     Spectrum,
     dirac,
     down_laplacian,
@@ -61,14 +60,13 @@ __all__ = [
     "Atom",
     "ChainComplex",
     "Digraph",
-    "Dirac",
     "FeatureGrid",
     "FeatureSet",
     "Filtration",
     "Hypergraph",
-    "Laplacian",
     "Molecule",
     "NumericalInconsistencyError",
+    "Operator",
     "ParseError",
     "PathDiracError",
     "ResourceLimitError",

@@ -40,7 +40,8 @@ from .operators import (
     features,
     laplacian,
 )
-from .persistence import DEFAULT_FEATURES, StageComplexes, feature_grid, threshold_problem
+from .persistence import (DEFAULT_FEATURES, StageComplexes, feature_grid, feature_problem,
+                          threshold_problem)
 
 
 class CliParser(argparse.ArgumentParser):
@@ -65,23 +66,16 @@ def _int_at_least(minimum: int):
     return parse
 
 
-class _Distinct(argparse.Action):
-    """argparse action: a list option whose values may not repeat (a usage error otherwise)."""
+def _checked(problem):
+    """argparse action: a value list `problem` finds no fault in (a usage error otherwise)."""
 
-    def __call__(self, parser, namespace, values, option_string=None):
-        repeated = sorted({v for v in values if values.count(v) > 1})
-        if repeated:
-            parser.error(f"argument {option_string}: repeated {', '.join(repeated)}")
-        setattr(namespace, self.dest, values)
+    class Checked(argparse.Action):
+        def __call__(self, parser, namespace, values, option_string=None):
+            if message := problem(values):
+                parser.error(f"argument {option_string}: {message}")
+            setattr(namespace, self.dest, values)
 
-
-class _Thresholds(argparse.Action):
-    """argparse action: thresholds a filtration accepts (a usage error otherwise)."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        if problem := threshold_problem(values):
-            parser.error(f"argument {option_string}: {problem}")
-        setattr(namespace, self.dest, values)
+    return Checked
 
 
 def _out_dir(text: str) -> Path:
@@ -126,8 +120,8 @@ def build_parser() -> CliParser:
     common(p_dirac, "Dirac operator degree")
 
     def grid(p):
-        p.add_argument("--features", nargs="+", default=list(DEFAULT_FEATURES),
-                       choices=FeatureSet.FIELDS, metavar="FEATURE", action=_Distinct,
+        p.add_argument("--features", nargs="+", default=list(DEFAULT_FEATURES), metavar="FEATURE",
+                       choices=FeatureSet.FIELDS, action=_checked(feature_problem),
                        help=f"from {', '.join(FeatureSet.FIELDS)}")
         p.add_argument("--jobs", type=_int_at_least(1), default=1)
         p.add_argument("--annotate", action="store_true", help="write values into heatmap cells")
@@ -139,7 +133,8 @@ def build_parser() -> CliParser:
 
     p_mol = sub.add_parser("molecule", help="bond digraph filtration pipeline from an XYZ file")
     p_mol.add_argument("input")
-    p_mol.add_argument("--thresholds", type=float, nargs="+", required=True, action=_Thresholds)
+    p_mol.add_argument("--thresholds", type=float, nargs="+", required=True,
+                       action=_checked(threshold_problem))
     grid(p_mol)
 
     p_check = sub.add_parser("check", help="run the identity verification suite")

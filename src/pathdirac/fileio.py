@@ -147,13 +147,10 @@ def parse_manifest(text: str, base_dir, path: str | None = None) -> Filtration:
             except ParseError as exc:
                 raise ParseError(str(exc), path, lineno) from None
             weighted.append((u, v, w))
-        all_vertices = set(vertices) | {u for u, _, _ in weighted} | {v for _, v, _ in weighted}
         try:
-            stages = [Digraph.of(all_vertices, [(u, v) for u, v, w in weighted if w <= t])
-                      for t in thresholds]
+            return Filtration.by_threshold(vertices, weighted, thresholds)
         except ParseError as exc:  # a negative id in the `# vertices:` directive
             raise ParseError(str(exc), path) from None
-        return Filtration.of(stages)
 
     kind = _directive(text, "kind")[1] or "digraph"
     if kind not in ("digraph", "hypergraph"):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .errors import ParseError, StructuralError
 from .fileio import read_input
 from .graphs import Digraph
-from .persistence import Filtration, threshold_problem
+from .persistence import Filtration
 
 # Pauling-scale electronegativities for the elements that have one.
 PAULING_ELECTRONEGATIVITY: dict[str, float] = {
@@ -183,13 +183,5 @@ def bond_digraph(mol: Molecule) -> WeightedDigraph:
 
 def distance_filtration(wd: WeightedDigraph, thresholds) -> Filtration:
     """Stage i keeps all vertices and the edges of weight at most thresholds[i]."""
-    thresholds = [float(t) for t in thresholds]
-    if not thresholds:
-        raise StructuralError("at least one threshold is required")
-    if problem := threshold_problem(thresholds):
-        raise StructuralError(problem)
-    stages = []
-    for t in thresholds:
-        edges = [e for e in wd.digraph.edges if wd.weights[e] <= t]
-        stages.append(Digraph(wd.digraph.vertices, tuple(sorted(edges))))
-    return Filtration.of(stages)
+    weighted = [(u, v, wd.weights[(u, v)]) for u, v in wd.digraph.edges]
+    return Filtration.by_threshold(wd.digraph.vertices, weighted, thresholds)

@@ -21,17 +21,11 @@ DEFAULT_DENSE_LIMIT = 4000
 
 
 @dataclass
-class Laplacian:
+class Operator:
+    """A Laplacian, down Laplacian or Dirac matrix and the exact nullity of its zero class."""
+
     degree: int
     matrix: np.ndarray
-    exact_nullity: int
-
-
-@dataclass
-class Dirac:
-    degree: int
-    matrix: np.ndarray
-    block_offsets: list[int]  # start index of each degree block, plus the total size
     exact_nullity: int
 
 
@@ -71,27 +65,25 @@ def guard_size(n: int, dense_limit: int) -> None:
         )
 
 
-def laplacian(c: ChainComplex, n: int, dense_limit: int = DEFAULT_DENSE_LIMIT) -> Laplacian:
-    """Degree-n Laplacian in the orthonormal bases: up part plus down part."""
-    if not 0 <= n <= c.p_top - 1:
-        raise ValueError(f"laplacian degree {n} needs the complex built to degree {n + 1}")
-    guard_size(c.dim(n), dense_limit)
-    b_n = c.degrees[n].boundary_ortho
-    b_up = c.degrees[n + 1].boundary_ortho
-    down = b_n.T @ b_n
-    return Laplacian(n, b_up @ b_up.T + down, exact_nullity=c.betti(n))
-
-
-def down_laplacian(c: ChainComplex, n: int, dense_limit: int = DEFAULT_DENSE_LIMIT) -> Laplacian:
-    """Down part alone; its kernel witnesses the top term of the Dirac nullity."""
+def down_laplacian(c: ChainComplex, n: int, dense_limit: int = DEFAULT_DENSE_LIMIT) -> Operator:
+    """Down part BₙᵀBₙ alone; its kernel witnesses the top term of the Dirac nullity."""
     if not 0 <= n <= c.p_top:
         raise ValueError(f"down laplacian degree {n} out of built range")
     guard_size(c.dim(n), dense_limit)
     b_n = c.degrees[n].boundary_ortho
-    return Laplacian(n, b_n.T @ b_n, exact_nullity=c.down_nullity(n))
+    return Operator(n, b_n.T @ b_n, exact_nullity=c.down_nullity(n))
 
 
-def dirac_from_blocks(blocks: list[np.ndarray], exact_nullity: int, degree: int) -> Dirac:
+def laplacian(c: ChainComplex, n: int, dense_limit: int = DEFAULT_DENSE_LIMIT) -> Operator:
+    """Degree-n Laplacian in the orthonormal bases: up part plus down part."""
+    if not 0 <= n <= c.p_top - 1:
+        raise ValueError(f"laplacian degree {n} needs the complex built to degree {n + 1}")
+    down = down_laplacian(c, n, dense_limit)  # guards the size before any float block
+    b_up = c.degrees[n + 1].boundary_ortho
+    return Operator(n, b_up @ b_up.T + down.matrix, exact_nullity=c.betti(n))
+
+
+def dirac_from_blocks(blocks: list[np.ndarray], exact_nullity: int, degree: int) -> Operator:
     """Assemble the symmetric block-tridiagonal matrix from boundary blocks.
 
     blocks[k] maps degree k+1 to degree k in orthonormal bases; the block
@@ -105,10 +97,10 @@ def dirac_from_blocks(blocks: list[np.ndarray], exact_nullity: int, degree: int)
         c0, c1 = offsets[k + 1], offsets[k + 2]
         m[r0:r1, c0:c1] = b
         m[c0:c1, r0:r1] = b.T
-    return Dirac(degree, m, offsets, exact_nullity)
+    return Operator(degree, m, exact_nullity)
 
 
-def dirac(c: ChainComplex, p: int, dense_limit: int = DEFAULT_DENSE_LIMIT) -> Dirac:
+def dirac(c: ChainComplex, p: int, dense_limit: int = DEFAULT_DENSE_LIMIT) -> Operator:
     """Degree-p Dirac operator over the degree blocks 0..p+1.
 
     Zero-dimensional degrees contribute empty blocks (no padding), so the

@@ -26,10 +26,10 @@ from .errors import StructuralError
 from .graphs import DEFAULT_PATH_CAP, Digraph, Hypergraph, walk_digraph
 from .operators import (
     DEFAULT_DENSE_LIMIT,
-    Dirac,
     FeatureSet,
-    Laplacian,
+    Operator,
     dirac,
+    down_laplacian,
     eigen_spectrum,
     features,
 )
@@ -44,6 +44,14 @@ def threshold_problem(thresholds) -> str | None:
         return "thresholds must be finite"
     if any(s >= t for s, t in zip(thresholds, thresholds[1:])):
         return "thresholds must be strictly increasing"
+
+
+def feature_problem(names) -> str | None:
+    """Why these names cannot select the features of a grid, or None if they can."""
+    if unknown := [name for name in names if name not in FeatureSet.FIELDS]:
+        return f"unknown feature {unknown[0]!r}; choose from {FeatureSet.FIELDS}"
+    if repeated := sorted({name for name in names if names.count(name) > 1}):
+        return f"repeated {', '.join(repeated)}"
 
 
 def missing_element(stage: Stage, later: Stage) -> str | None:
@@ -77,6 +85,20 @@ class Filtration:
                 raise StructuralError(f"filtration nesting violated: stage {i + 2} lacks "
                                       f"{missing} of stage {i + 1}")
         return cls(stages)
+
+    @classmethod
+    def by_threshold(cls, vertices, weighted_edges, thresholds) -> "Filtration":
+        """Stage i holds every vertex, edge ends included, and each edge (u, v, w)
+        with w <= thresholds[i]; a repeated edge enters at its smallest weight."""
+        thresholds = [float(t) for t in thresholds]
+        if not thresholds:
+            raise StructuralError("at least one threshold is required")
+        if problem := threshold_problem(thresholds):
+            raise StructuralError(problem)
+        weighted_edges = list(weighted_edges)
+        vertices = {*vertices, *(x for u, v, _ in weighted_edges for x in (u, v))}
+        return cls.of(Digraph.of(vertices, [(u, v) for u, v, w in weighted_edges if w <= t])
+                      for t in thresholds)
 
     def __len__(self) -> int:
         return len(self.stages)
@@ -135,12 +157,12 @@ def auxiliary_complex(stages: StageComplexes, a: int, b: int) -> ChainComplex:
 
 
 def persistent_dirac(aux: ChainComplex, p: int,
-                     dense_limit: int = DEFAULT_DENSE_LIMIT) -> Dirac:
+                     dense_limit: int = DEFAULT_DENSE_LIMIT) -> Operator:
     """Dirac operator of the auxiliary complex over degree blocks 0..p+1."""
     return dirac(aux, p, dense_limit)
 
 
-def persistent_laplacian(stage_a: ChainComplex, aux: ChainComplex, n: int) -> Laplacian:
+def persistent_laplacian(stage_a: ChainComplex, aux: ChainComplex, n: int) -> Operator:
     """Persistent Laplacian on the stage-a degree-n space.
 
     Down part from the stage-a boundary; up part from the boundary of the
@@ -154,12 +176,12 @@ def persistent_laplacian(stage_a: ChainComplex, aux: ChainComplex, n: int) -> La
     if missing := next((path for path in d_a.paths if path not in index), None):
         raise ValueError(f"stage a's degree-{n} path {missing} is not a path of the pair complex")
     rows = [index[path] for path in d_a.paths]
-    down = d_a.boundary_ortho.T @ d_a.boundary_ortho
+    down = down_laplacian(stage_a, n).matrix
     m = d_a.ortho.T @ (up.allowed_block[rows] @ up.ortho)
     # The auxiliary boundary lands in the stage-a space, whose basis is injective
     # in stage b, so its rank is the rank of the map into stage a.
     nullity = stage_a.dim(n) - stage_a.boundary_rank(n) - aux.boundary_rank(n + 1)
-    return Laplacian(n, m @ m.T + down, nullity)
+    return Operator(n, m @ m.T + down, nullity)
 
 
 def persistent_betti(stages: StageComplexes, a: int, b: int, n: int) -> int:
@@ -198,11 +220,8 @@ def feature_grid(
     dense_limit: int = DEFAULT_DENSE_LIMIT,
 ) -> FeatureGrid:
     """Persistent Dirac features over every stage pair n <= m."""
-    for name in feature_names:
-        if name not in FeatureSet.FIELDS:
-            raise ValueError(f"unknown feature {name!r}; choose from {FeatureSet.FIELDS}")
-        if feature_names.count(name) > 1:
-            raise ValueError(f"feature {name!r} is repeated")
+    if problem := feature_problem(feature_names):
+        raise ValueError(problem)
     size = len(stages)
     grid = FeatureGrid(p, size, tuple(feature_names))
     pairs = [(n, m) for n in range(1, size + 1) for m in range(n, size + 1)]

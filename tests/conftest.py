@@ -45,16 +45,19 @@ def random_filtration(rng: random.Random, max_vertices: int = 5, max_stages: int
     return Filtration.of(stages)
 
 
-def molecule_filtration(stages: int = 7) -> Filtration:
-    """The committed 24-atom cage, its bonds admitted in `stages` equal shares.
-
-    Each threshold falls midway between consecutive sorted bond lengths.
-    """
+def molecule_thresholds(stages: int = 7) -> list[float]:
+    """Thresholds that admit the committed 24-atom cage's bonds in `stages` equal
+    shares: each falls midway between consecutive sorted bond lengths."""
     mol = load_molecule(MOLECULE)
     lengths = sorted(mol.distance(i, j) for i, j in mol.bonds)
     cuts = [(lengths[r - 1] + lengths[r]) / 2
             for r in (round(s * len(lengths) / stages) for s in range(1, stages))]
-    return distance_filtration(bond_digraph(mol), cuts + [lengths[-1] + 0.1])
+    return cuts + [lengths[-1] + 0.1]
+
+
+def molecule_filtration(stages: int = 7) -> Filtration:
+    """The committed 24-atom cage, its bonds admitted at `molecule_thresholds(stages)`."""
+    return distance_filtration(bond_digraph(load_molecule(MOLECULE)), molecule_thresholds(stages))
 
 
 @pytest.fixture(scope="session")

@@ -27,7 +27,7 @@ import sympy
 from pathdirac import rational as qa
 from pathdirac.chain import embed_paths
 from pathdirac.graphs import Digraph, Hypergraph
-from pathdirac.operators import Laplacian
+from pathdirac.operators import Operator
 from pathdirac.rational import QMatrix
 
 
@@ -312,7 +312,7 @@ def auxiliary_bases(stages, aux, b: int) -> list[QMatrix]:
     return [qa.solve(cb.degrees[k].omega, d.omega) for k, d in enumerate(aux.degrees)]
 
 
-def persistent_laplacian_by_embedding(stage_a, aux, n: int) -> Laplacian:
+def persistent_laplacian_by_embedding(stage_a, aux, n: int) -> Operator:
     """The persistent Laplacian on stage a's degree-n space along the embedding route.
 
     Stage a's orthonormal basis is carried into stage b's path coordinates by
@@ -325,4 +325,4 @@ def persistent_laplacian_by_embedding(stage_a, aux, n: int) -> Laplacian:
     m = (embed @ d_a.ortho).T @ (up.allowed_block @ up.ortho)
     down = d_a.boundary_ortho.T @ d_a.boundary_ortho
     nullity = d_a.omega.cols - qa.rank(d_a.image) - qa.rank(up.image)
-    return Laplacian(n, m @ m.T + down, nullity)
+    return Operator(n, m @ m.T + down, nullity)

@@ -109,8 +109,6 @@ def test_cyclic_triangle_degree1_dirac_stated_values():
     started = time.monotonic()
     c = build_digraph_complex(CYCLIC, 2)
     d1 = dirac(c, 1)
-    # The degree-2 block is empty: the last two offsets coincide.
-    assert d1.block_offsets == list(itertools.accumulate(omega_dims, initial=0))
     assert d1.matrix.shape == (expected_dim, expected_dim) == (6, 6)
     np.testing.assert_array_equal(d1.matrix, D0_REFERENCE)
     assert d1.exact_nullity == expected_nullity == 2

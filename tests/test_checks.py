@@ -168,21 +168,27 @@ GROWING = {"s1.txt": "# vertices: 0 1\n0 1\n",
 CLOSING = {"s1.txt": "# vertices: 0 1 2\n0 1\n",
            "s2.txt": "# vertices: 0 1 2\n0 1\n1 2\n2 0\n", "g.txt": "s1.txt\ns2.txt\n"}
 TWO_SQUARES = {"g.txt": "0 1\n1 2\n2 0\n0 2\n2 3\n3 0\n"}
+# a fixed vertex set, where every auxiliary beta0 matches stage b's
+FIXED_VERTICES = {"s1.txt": "# vertices: 0 1 2 3\n0 1\n1 2\n",
+                  "s2.txt": "# vertices: 0 1 2 3\n0 1\n1 2\n2 0\n0 2\n2 3\n3 0\n",
+                  "g.txt": "s1.txt\ns2.txt\n"}
 FILTRATION_P2 = ["--kind", "filtration", "--p", "2"]
 
 # family: (input files, check options, `checks` name to patch, fault from the real one,
 # the families that FAIL under the fault)
 NEGATIVE_CONTROLS = {
     "beta0-pair-p0": (GROWING, ["--kind", "filtration", "--p", "0"], "auxiliary_complex",
-                      _stage_b, {"beta0-pair"}),
+                      _stage_b, {"beta0-pair", "monotone-nullity"}),
     "beta0-pair-p1": (GROWING, ["--kind", "filtration", "--p", "1"], "auxiliary_complex",
-                      _stage_b, {"beta0-pair"}),
+                      _stage_b, {"beta0-pair", "monotone-nullity"}),
+    "monotone-nullity-float": (FIXED_VERTICES, ["--kind", "filtration", "--p", "1"],
+                               "auxiliary_complex", _stage_b, {"monotone-nullity"}),
     "monotone-nullity": (
         CLOSING, FILTRATION_P2, "persistent_laplacian",
         lambda real: lambda *args: dataclasses.replace(real(*args), exact_nullity=99),
         {"monotone-nullity"}),
     "persistent-nullity": (CLOSING, FILTRATION_P2, "float_rank", lambda real: lambda m: real(m) + 1,
-                           {"persistent-nullity"}),
+                           {"persistent-nullity", "monotone-nullity"}),
     "exact-vs-float-rank": (TWO_SQUARES, ["--p", "2"], "float_rank",
                             lambda real: lambda m: real(m) + (m.shape[0] != m.shape[1]),
                             {"exact-vs-float-rank"}),

@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 
 from pathdirac import (Digraph, build_digraph_complex, chain, cli, dirac, down_laplacian,
                        fileio, laplacian)
+from conftest import MOLECULE, molecule_thresholds
 from pathdirac.cli import main
+from pathdirac.molecules import bond_digraph, load_molecule
 from pathdirac.rational import QMatrix
 
 CYCLIC = "0 1\n1 2\n2 0\n"
@@ -112,6 +114,36 @@ def test_molecule_command(tmp_path):
     assert main(["molecule", str(xyz), "--thresholds", "0", "0.97", "--out", str(out)]) == 0
     csv_lines = (out / "water.grid.csv").read_text().splitlines()
     assert csv_lines[1].startswith("1,1,3")
+
+
+def weighted_manifest(mol, thresholds) -> str:
+    """A molecule's bond digraph as a weighted manifest; repr keeps every float exact."""
+    wd = bond_digraph(mol)
+    lines = [f"# thresholds: {' '.join(map(repr, thresholds))}",
+             f"# vertices: {' '.join(map(str, wd.digraph.vertices))}"]
+    lines += [f"{u} {v} {wd.weights[(u, v)]!r}" for u, v in wd.digraph.edges]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name", ["water", "cage"])
+def test_molecule_and_its_weighted_manifest_write_the_same_grid(tmp_path, name):
+    """`molecule` and `persist` stage a weighted digraph by one rule, so the bond digraph
+    written as a weighted manifest gives the same grid CSV and heatmap bytes."""
+    xyz = tmp_path / f"{name}.xyz"
+    if name == "water":
+        xyz.write_text(WATER, encoding="utf-8")
+        thresholds = [0.5, 1.0]
+    else:
+        xyz.write_bytes(MOLECULE.read_bytes())
+        thresholds = molecule_thresholds()
+    manifest = tmp_path / f"{name}.txt"
+    manifest.write_text(weighted_manifest(load_molecule(xyz), thresholds), encoding="utf-8")
+    features = ["--features", "nullity", "max"]
+    assert main(["molecule", str(xyz), "--thresholds", *map(repr, thresholds), *features,
+                 "--out", str(tmp_path / "mol")]) == 0
+    assert main(["persist", str(manifest), *features, "--out", str(tmp_path / "man")]) == 0
+    for file in (f"{name}.grid.csv", f"{name}.nullity.svg", f"{name}.max.svg"):
+        assert (tmp_path / "mol" / file).read_bytes() == (tmp_path / "man" / file).read_bytes()
 
 
 def test_molecule_bad_thresholds_exit_code(tmp_path, capsys):

@@ -57,6 +57,12 @@ GUARDS = {
                                     ValueError, "down laplacian degree 2 out of built range"),
     "empty-filtration": (lambda tmp: Filtration.of([]), StructuralError,
                          "a filtration needs at least one stage"),
+    "by-threshold-empty": (lambda tmp: Filtration.by_threshold([0], [], []), StructuralError,
+                           "at least one threshold is required"),
+    "by-threshold-unsorted": (lambda tmp: Filtration.by_threshold([0], [], [1, 1]),
+                              StructuralError, "thresholds must be strictly increasing"),
+    "by-threshold-non-finite": (lambda tmp: Filtration.by_threshold([0], [], [1, float("inf")]),
+                                StructuralError, "thresholds must be finite"),
     "stage-index": (lambda tmp: two_stages().stage(3), ValueError,
                     "stage index 3 out of range 1..2"),
     "auxiliary-pair": (lambda tmp: auxiliary_complex(two_stages(), 2, 1), ValueError,

@@ -403,14 +403,19 @@ def test_auxiliary_beta0_with_growing_vertex_sets(hyper):
     assert grew >= 30
 
 
-def test_persistent_laplacian_equal_pair_matches_ordinary():
-    stages = two_stage([(0, 1), (1, 2), (2, 0)], [(0, 1), (1, 2), (2, 0)], [0, 1, 2])
-    aux = auxiliary_complex(stages, 1, 1)
-    for n in range(2):
-        pers = persistent_laplacian(stages.stage(1), aux, n)
-        ordinary = laplacian(stages.stage(1), n)
-        np.testing.assert_allclose(pers.matrix, ordinary.matrix, atol=1e-12)
-        assert pers.exact_nullity == ordinary.exact_nullity
+def test_persistent_laplacian_equal_pair_matches_ordinary(filtration_stage_complexes,
+                                                         molecule_stage_complexes):
+    """The pair (m, m) gives stage m's own Laplacian, bit for bit: both take the down
+    part from `down_laplacian` and form the up part by the same product."""
+    cyclic = two_stage([(0, 1), (1, 2), (2, 0)], [(0, 1), (1, 2), (2, 0)], [0, 1, 2])
+    for stages in [cyclic, *filtration_stage_complexes, molecule_stage_complexes]:
+        for m in range(1, len(stages) + 1):
+            aux = auxiliary_complex(stages, m, m)
+            for n in range(2):
+                pers = persistent_laplacian(stages.stage(m), aux, n)
+                ordinary = laplacian(stages.stage(m), n)
+                np.testing.assert_array_equal(pers.matrix, ordinary.matrix)
+                assert pers.exact_nullity == ordinary.exact_nullity
 
 
 def test_persistent_laplacian_vertices_only_stage_a():
@@ -627,6 +632,40 @@ def test_feature_grid_ranks_only_stage_boundaries(monkeypatch):
         assert calls["solve"] == 0
 
 
+def by_threshold_reference(vertices, weighted_edges, thresholds):
+    """Stage i, defined directly: every declared vertex and edge end, and the edges
+    with some weight at most thresholds[i]."""
+    ends = {x for u, v, _ in weighted_edges for x in (u, v)}
+    return [Digraph(tuple(sorted({*vertices, *ends})),
+                    tuple(sorted({(u, v) for u, v, w in weighted_edges if w <= t})))
+            for t in thresholds]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    vertices=st.lists(st.integers(0, 7), max_size=4),
+    weighted_edges=st.lists(
+        st.tuples(st.integers(0, 5), st.integers(0, 5), st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.5]))
+        .filter(lambda e: e[0] != e[1]), max_size=12),
+    thresholds=st.lists(st.sampled_from([-1.0, 0.0, 0.25, 1.0, 2.0, 3.0]), min_size=1, max_size=4,
+                        unique=True).map(sorted),
+)
+def test_filtration_by_threshold_matches_the_stage_definition(vertices, weighted_edges, thresholds):
+    """Repeated edges, weights <= 0, undeclared edge ends and isolated declared vertices."""
+    f = Filtration.by_threshold(vertices, weighted_edges, thresholds)
+    assert list(f.stages) == by_threshold_reference(vertices, weighted_edges, thresholds)
+
+
+def test_filtration_by_threshold_cases():
+    # (0, 1) is listed twice and enters at its smaller weight; 2 is an undeclared end
+    # of an edge that enters last; 9 is declared and isolated
+    weighted = [(0, 1, 2.0), (1, 0, 0.0), (0, 1, -1.0), (1, 2, 3.0)]
+    f = Filtration.by_threshold([9], weighted, [-1.0, 0.0, 3.0])
+    assert [s.vertices for s in f.stages] == [(0, 1, 2, 9)] * 3
+    assert [s.edges for s in f.stages] == [((0, 1),), ((0, 1), (1, 0)),
+                                           ((0, 1), (1, 0), (1, 2))]
+
+
 def test_feature_grid_rejects_unknown_feature():
     stages = StageComplexes(Filtration.of([CYCLIC]), 2)
     with pytest.raises(ValueError):
@@ -635,7 +674,7 @@ def test_feature_grid_rejects_unknown_feature():
 
 def test_feature_grid_rejects_repeated_feature():
     stages = StageComplexes(Filtration.of([CYCLIC]), 2)
-    with pytest.raises(ValueError, match="feature 'nullity' is repeated"):
+    with pytest.raises(ValueError, match="repeated nullity"):
         feature_grid(stages, 1, ("nullity", "mean_pos", "nullity"))
 
 
