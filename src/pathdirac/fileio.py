@@ -18,73 +18,101 @@ import secrets
 from pathlib import Path
 
 from .errors import ParseError, ResourceLimitError
-from .graphs import Digraph, Hypergraph
+from .graphs import Digraph, Hypergraph, edge_problem, vertex_problem
 from .persistence import FeatureGrid, Filtration, missing_element, threshold_problem
 
 SCHEMA_VERSION = "1"
 
 
-def _data_lines(text: str):
-    """Yield (lineno, stripped) for non-empty, non-comment lines."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield lineno, line
+class _Lines:
+    """The lines of one input file: the first `# name: value` line of each directive,
+    and the data lines (neither blank nor a comment) in order. `read` is the one
+    place a line's fault is raised, as a ParseError naming the file and the line."""
+
+    def __init__(self, text: str, path: str | None):
+        self.path, self.directives, self.data = path, {}, []
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            head, colon, value = line.partition(":")
+            if line and not line.startswith("#"):
+                self.data.append((lineno, line))
+            elif colon and head.startswith("# "):
+                self.directives.setdefault(head[2:].lower(), (lineno, value.strip()))
+
+    def read(self, lineno: int, text: str, parse):
+        """parse(text); the ValueError it raises is a ParseError at `lineno`."""
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise ParseError(str(exc), self.path, lineno) from None
+
+    def directive(self, name: str, parse, default=None):
+        """The `# name:` directive's value read by `parse`, or `default` without one."""
+        return self.read(*self.directives[name], parse) if name in self.directives else default
+
+    def rows(self, parse) -> list:
+        return [self.read(lineno, line, parse) for lineno, line in self.data]
 
 
-def _directive(text: str, name: str) -> tuple[int | None, str | None]:
-    """(line number, value) of a `# name: ...` comment directive, or (None, None)."""
-    prefix = f"# {name}:"
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line.lower().startswith(prefix):
-            return lineno, line[len(prefix):].strip()
-    return None, None
-
-
-def _declared_vertices(text: str, path: str | None) -> list[int]:
-    """Vertex ids listed by a `# vertices: ...` directive (empty without one)."""
-    _, decl = _directive(text, "vertices")
+def _numbers(tokens, kind, problem: str, rule=lambda values: None) -> list:
+    """The tokens as `kind`s; ValueError(problem) if one is not, or the fault `rule` finds."""
     try:
-        return [int(tok) for tok in (decl or "").split()]
+        values = [kind(tok) for tok in tokens]
     except ValueError:
-        raise ParseError("vertex declaration must list integers", path) from None
+        raise ValueError(problem) from None
+    if fault := rule(values):
+        raise ValueError(fault)
+    return values
+
+
+def _vertices(value: str) -> list[int]:
+    return _numbers(value.split(), int, "vertex declaration must list integers", vertex_problem)
+
+
+def _thresholds(value: str) -> list[float]:
+    return _numbers(value.split(), float, "thresholds must be numbers",
+                    lambda ts: threshold_problem(ts) if ts else "threshold list is empty")
+
+
+def _kind(value: str) -> str:
+    if value not in ("", "digraph", "hypergraph"):
+        raise ValueError(f"manifest kind must be digraph or hypergraph, got {value!r}")
+    return value or "digraph"  # an empty `# kind:` leaves the default
+
+
+def _edge(line: str) -> list[int]:
+    if len(parts := line.split()) != 2:
+        raise ValueError(f"expected `u v`, got {line!r}")
+    return _numbers(parts, int, f"edge endpoints must be integers, got {line!r}",
+                    lambda edge: edge_problem(*edge))
+
+
+def _hyperedge(line: str) -> list[int]:
+    return _numbers(line.split(), int, f"hyperedge must list integers, got {line!r}", vertex_problem)
+
+
+def _weighted_edge(line: str) -> tuple[int, int, float]:
+    if len(parts := line.split()) != 3:
+        raise ValueError(f"expected `u v w`, got {line!r}")
+    u, v = _numbers(parts[:2], int, f"bad weighted edge {line!r}")
+    (w,) = _numbers(parts[2:], float, f"bad weighted edge {line!r}")
+    if not math.isfinite(w):
+        raise ValueError(f"edge weight must be finite, got {line!r}")
+    if problem := edge_problem(u, v):
+        raise ValueError(problem)
+    return u, v, w
 
 
 def parse_digraph(text: str, path: str | None = None) -> Digraph:
     """One `u v` pair per line; `# vertices: ...` declares isolated vertices."""
-    vertices = _declared_vertices(text, path)
-    edges = []
-    for lineno, line in _data_lines(text):
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"expected `u v`, got {line!r}", path, lineno)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"edge endpoints must be integers, got {line!r}", path, lineno) from None
-        edges.append((u, v))
-    try:
-        return Digraph.of(vertices, edges)
-    except ParseError as exc:
-        raise ParseError(str(exc), path) from None
+    lines = _Lines(text, path)
+    return Digraph.of(lines.directive("vertices", _vertices, []), lines.rows(_edge))
 
 
 def parse_hypergraph(text: str, path: str | None = None) -> Hypergraph:
     """One hyperedge per line as space-separated vertex ids."""
-    vertices = _declared_vertices(text, path)
-    hyperedges = []
-    for lineno, line in _data_lines(text):
-        try:
-            members = [int(tok) for tok in line.split()]
-        except ValueError:
-            raise ParseError(f"hyperedge must list integers, got {line!r}", path, lineno) from None
-        hyperedges.append(members)
-    try:
-        return Hypergraph.of(vertices, hyperedges)
-    except ParseError as exc:
-        raise ParseError(str(exc), path) from None
+    lines = _Lines(text, path)
+    return Hypergraph.of(lines.directive("vertices", _vertices, []), lines.rows(_hyperedge))
 
 
 def read_input(path) -> str:
@@ -119,60 +147,33 @@ def parse_manifest(text: str, base_dir, path: str | None = None) -> Filtration:
     directive declares isolated vertices. Thresholds and weights must be finite,
     and thresholds strictly increasing.
     """
-    base_dir = Path(base_dir)
-    thresholds_line, thresholds_decl = _directive(text, "thresholds")
-    if thresholds_decl is not None:
-        try:
-            thresholds = [float(tok) for tok in thresholds_decl.split()]
-        except ValueError:
-            raise ParseError("thresholds must be numbers", path) from None
-        if not thresholds:
-            raise ParseError("threshold list is empty", path)
-        if problem := threshold_problem(thresholds):
-            raise ParseError(problem, path, thresholds_line)
-        vertices = _declared_vertices(text, path)
-        weighted = []
-        for lineno, line in _data_lines(text):
-            parts = line.split()
-            if len(parts) != 3:
-                raise ParseError(f"expected `u v w`, got {line!r}", path, lineno)
-            try:
-                u, v, w = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError:
-                raise ParseError(f"bad weighted edge {line!r}", path, lineno) from None
-            if not math.isfinite(w):
-                raise ParseError(f"edge weight must be finite, got {line!r}", path, lineno)
-            try:
-                Digraph.of((), [(u, v)])  # a loop or a negative id, named at its line
-            except ParseError as exc:
-                raise ParseError(str(exc), path, lineno) from None
-            weighted.append((u, v, w))
-        try:
-            return Filtration.by_threshold(vertices, weighted, thresholds)
-        except ParseError as exc:  # a negative id in the `# vertices:` directive
-            raise ParseError(str(exc), path) from None
+    lines = _Lines(text, path)
+    thresholds = lines.directive("thresholds", _thresholds)
+    if thresholds is not None:
+        vertices = lines.directive("vertices", _vertices, [])
+        return Filtration.by_threshold(vertices, lines.rows(_weighted_edge), thresholds)
 
-    kind = _directive(text, "kind")[1] or "digraph"
-    if kind not in ("digraph", "hypergraph"):
-        raise ParseError(f"manifest kind must be digraph or hypergraph, got {kind!r}", path)
-    stages = []
-    for lineno, line in _data_lines(text):
-        stage_path = base_dir / line
+    kind = lines.directive("kind", _kind, "digraph")
+    stages: list = []
+
+    def add_stage(line: str) -> None:
+        stage_path = Path(base_dir) / line
         try:
             found = stage_path.exists()
         except OSError as exc:  # e.g. a name too long to stat
-            raise ParseError(f"cannot look up stage file: {exc.strerror or exc}",
-                             path, lineno) from None
+            raise ValueError(f"cannot look up stage file: {exc.strerror or exc}") from None
         if not found:
-            raise ParseError(f"stage file not found: {line}", path, lineno)
+            raise ValueError(f"stage file not found: {line}")
         stage = load_graph(stage_path, kind)
         if stages and (missing := missing_element(stages[-1], stage)):
-            raise ParseError(f"stages do not nest: stage {len(stages) + 1} ({line}) lacks "
-                             f"{missing} of stage {len(stages)}", path, lineno)
+            raise ValueError(f"stages do not nest: stage {len(stages) + 1} ({line}) lacks "
+                             f"{missing} of stage {len(stages)}")
         stages.append(stage)
+
+    lines.rows(add_stage)
     if not stages:
         raise ParseError("manifest lists no stages", path)
-    return Filtration.of(stages)
+    return Filtration(tuple(stages))  # nesting was checked stage by stage
 
 
 def load_manifest(path) -> Filtration:

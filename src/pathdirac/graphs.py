@@ -25,18 +25,12 @@ class Digraph:
 
     @classmethod
     def of(cls, vertices, edges) -> "Digraph":
-        vset = {int(v) for v in vertices}
-        eset = set()
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if u == v:
-                raise ParseError(f"loop edge {u}->{v} is not permitted")
-            vset.add(u)
-            vset.add(v)
-            eset.add((u, v))
-        if any(v < 0 for v in vset):
-            raise ParseError("vertex ids must be non-negative integers")
-        return cls(tuple(sorted(vset)), tuple(sorted(eset)))
+        edges = [(int(u), int(v)) for u, v in edges]
+        vset = {int(v) for v in vertices}.union(*edges)
+        problems = (edge_problem(u, v) for u, v in edges)
+        if problem := next(filter(None, problems), vertex_problem(vset)):
+            raise ParseError(problem)
+        return cls(tuple(sorted(vset)), tuple(sorted(set(edges))))
 
     def successors(self) -> dict[int, tuple[int, ...]]:
         adj: dict[int, list[int]] = {v: [] for v in self.vertices}
@@ -73,17 +67,21 @@ class Hypergraph:
 
     @classmethod
     def of(cls, vertices, hyperedges) -> "Hypergraph":
-        vset = {int(v) for v in vertices}
-        eset = set()
-        for e in hyperedges:
-            e = tuple(sorted({int(v) for v in e}))
-            if not e:
-                raise ParseError("empty hyperedge is not permitted")
-            vset.update(e)
-            eset.add(e)
-        if any(v < 0 for v in vset):
-            raise ParseError("vertex ids must be non-negative integers")
+        eset = {tuple(sorted({int(v) for v in e})) for e in hyperedges}
+        vset = {int(v) for v in vertices}.union(*eset)
+        if problem := "empty hyperedge is not permitted" if () in eset else vertex_problem(vset):
+            raise ParseError(problem)
         return cls(tuple(sorted(vset)), tuple(sorted(eset)))
+
+
+def vertex_problem(ids) -> str | None:
+    """Why these ids cannot be vertices, or None if they can."""
+    return "vertex ids must be non-negative integers" if any(v < 0 for v in ids) else None
+
+
+def edge_problem(u: int, v: int) -> str | None:
+    """Why (u, v) cannot be a digraph edge, or None if it can."""
+    return f"loop edge {u}->{v} is not permitted" if u == v else vertex_problem((u, v))
 
 
 def walk_digraph(g: Digraph | Hypergraph) -> Digraph:

@@ -89,7 +89,7 @@ class Filtration:
     @classmethod
     def by_threshold(cls, vertices, weighted_edges, thresholds) -> "Filtration":
         """Stage i holds every vertex, edge ends included, and each edge (u, v, w)
-        with w <= thresholds[i]; a repeated edge enters at its smallest weight."""
+        with w <= thresholds[i], so stages nest; a repeated edge enters at its smallest weight."""
         thresholds = [float(t) for t in thresholds]
         if not thresholds:
             raise StructuralError("at least one threshold is required")
@@ -97,8 +97,8 @@ class Filtration:
             raise StructuralError(problem)
         weighted_edges = list(weighted_edges)
         vertices = {*vertices, *(x for u, v, _ in weighted_edges for x in (u, v))}
-        return cls.of(Digraph.of(vertices, [(u, v) for u, v, w in weighted_edges if w <= t])
-                      for t in thresholds)
+        return cls(tuple(Digraph.of(vertices, [(u, v) for u, v, w in weighted_edges if w <= t])
+                         for t in thresholds))
 
     def __len__(self) -> int:
         return len(self.stages)

@@ -424,6 +424,44 @@ def test_exit_code_catalogue(tmp_path, capsys, argv, code):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, text, error",
+    [
+        (["complex", "g.txt"], "0 1\n1 1\n", "g.txt:2: loop edge 1->1 is not permitted"),
+        (["dirac", "g.txt"], "0 1\n1 -2\n", "g.txt:2: vertex ids must be non-negative integers"),
+        (["complex", "g.txt", "--kind", "hypergraph"], "0 1 2\n3 -1\n",
+         "g.txt:2: vertex ids must be non-negative integers"),
+        (["complex", "g.txt"], "0 1\n# vertices: 0 x\n",
+         "g.txt:2: vertex declaration must list integers"),
+        (["persist", "g.txt"], "# thresholds: 0 1\n# vertices: 0 x\n0 1 1\n",
+         "g.txt:2: vertex declaration must list integers"),
+        (["check", "g.txt"], "# vertices: 0 -1\n0 1\n",
+         "g.txt:1: vertex ids must be non-negative integers"),
+        (["check", "g.txt", "--kind", "hypergraph"], "0 1 2\n# vertices: -3\n",
+         "g.txt:2: vertex ids must be non-negative integers"),
+        (["persist", "g.txt"], "# thresholds: 1 2\n# vertices: -2\n0 1 1\n",
+         "g.txt:2: vertex ids must be non-negative integers"),
+        (["persist", "g.txt"], "# thresholds: 1 x\n0 1 1\n", "g.txt:1: thresholds must be numbers"),
+        (["check", "g.txt", "--kind", "filtration"], "0 1 1\n# thresholds:\n",
+         "g.txt:2: threshold list is empty"),
+        (["persist", "g.txt"], "# kind: simplicial\ns1.txt\n",
+         "g.txt:1: manifest kind must be digraph or hypergraph, got 'simplicial'"),
+    ],
+    ids=["loop-row", "negative-digraph-row", "negative-hypergraph-row",
+         "non-integer-vertices", "non-integer-manifest-vertices", "negative-vertices",
+         "negative-hypergraph-vertices", "negative-manifest-vertices", "non-number-threshold",
+         "empty-thresholds", "bad-kind"],
+)
+def test_parse_fault_names_its_line(tmp_path, monkeypatch, capsys, argv, text, error):
+    """A fault of a data line or a directive exits 2 with `error: path:line: message`."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.txt").write_text(text, encoding="utf-8")
+    (tmp_path / "s1.txt").write_text("0 1\n", encoding="utf-8")
+    assert main([*argv, "--out", "out"]) == 2
+    assert f"error: {error}" in capsys.readouterr().err.splitlines()
+    assert not (tmp_path / "out").exists()
+
+
 def test_xyz_trailer_skips_blank_and_comment_lines(tmp_path):
     """A blank line and a `#` line in the trailer are skipped: the grid is the plain file's."""
     grids = []

@@ -54,10 +54,15 @@ def test_parse_errors_without_a_path_name_the_line():
         parse_digraph("0 1\n1 2 3\n")
     with pytest.raises(ParseError, match="^g.txt:2: expected `u v`, got '1 2 3'$"):
         parse_digraph("0 1\n1 2 3\n", path="g.txt")
-    with pytest.raises(ParseError, match="^loop edge 3->3 is not permitted$"):
+    with pytest.raises(ParseError, match="^line 1: loop edge 3->3 is not permitted$"):
         parse_digraph("3 3\n")
-    with pytest.raises(ParseError, match="^g.txt: loop edge 3->3 is not permitted$"):
+    with pytest.raises(ParseError, match="^g.txt:1: loop edge 3->3 is not permitted$"):
         parse_digraph("3 3\n", path="g.txt")
+    # the directives are read before the rows, and the rows in order
+    with pytest.raises(ParseError, match="^line 3: vertex declaration must list integers$"):
+        parse_digraph("0 x\n1 1\n# vertices: 0 x\n")
+    with pytest.raises(ParseError, match="^line 1: loop edge 1->1 is not permitted$"):
+        parse_digraph("1 1\n0 x\n")
 
 
 def test_parse_hypergraph():
@@ -75,6 +80,9 @@ def test_manifest_stage_list(tmp_path):
     f = load_manifest(manifest)
     assert len(f) == 2
     assert f.stages[1].edges == ((0, 1),)
+    # an empty `# kind:` leaves the default, and a later `# kind:` line is a comment
+    f = parse_manifest("# kind:\n# kind: bogus\ns1.txt\n", tmp_path)
+    assert f.stages == (Digraph.of([0, 1, 2], []),)
 
 
 def test_manifest_missing_stage_file(tmp_path):
@@ -138,7 +146,7 @@ def test_manifest_weighted_form_errors(tmp_path):
         parse_manifest("# thresholds: 1 2\n0 1\n", tmp_path)
     with pytest.raises(ParseError):
         parse_manifest("# thresholds: x\n0 1 0.5\n", tmp_path)
-    with pytest.raises(ParseError, match="^m.txt: "):
+    with pytest.raises(ParseError, match="^m.txt:2: "):
         parse_manifest("# thresholds: 0 1\n# vertices: 0 x\n0 1 1\n", tmp_path, "m.txt")
     with pytest.raises(ParseError, match="^m.txt:2: "):
         parse_manifest("# vertices: 0 1\n# thresholds: 0 1 inf\n0 1 1\n", tmp_path, "m.txt")
@@ -150,7 +158,7 @@ def test_manifest_weighted_form_errors(tmp_path):
         parse_manifest("# thresholds: 1 2\n0 1 1\n1 1 2\n", tmp_path, "m.txt")
     with pytest.raises(ParseError, match="^m.txt:2: vertex ids must be non-negative"):
         parse_manifest("# thresholds: 1 2\n0 -1 1\n", tmp_path, "m.txt")
-    with pytest.raises(ParseError, match="^m.txt: vertex ids must be non-negative"):
+    with pytest.raises(ParseError, match="^m.txt:2: vertex ids must be non-negative"):
         parse_manifest("# thresholds: 1 2\n# vertices: -2\n0 1 1\n", tmp_path, "m.txt")
 
 
