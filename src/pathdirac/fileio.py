@@ -22,22 +22,23 @@ from .graphs import Digraph, Hypergraph, edge_problem, vertex_problem
 from .persistence import FeatureGrid, Filtration, missing_element, threshold_problem
 
 SCHEMA_VERSION = "1"
+DIRECTIVES = ("vertices", "thresholds", "kind")  # the `# name: value` lines a parser reads
 
 
-class _Lines:
-    """The lines of one input file: the first `# name: value` line of each directive,
-    and the data lines (neither blank nor a comment) in order. `read` is the one
+class Lines:
+    """The lines of one input file: its `# name: value` lines whose name is in DIRECTIVES,
+    and its data lines (neither blank nor a comment), in file order. `read` is the one
     place a line's fault is raised, as a ParseError naming the file and the line."""
 
     def __init__(self, text: str, path: str | None):
-        self.path, self.directives, self.data = path, {}, []
+        self.path, self.directives, self.data = path, [], []
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             head, colon, value = line.partition(":")
             if line and not line.startswith("#"):
                 self.data.append((lineno, line))
-            elif colon and head.startswith("# "):
-                self.directives.setdefault(head[2:].lower(), (lineno, value.strip()))
+            elif colon and head.startswith("# ") and head[2:].lower() in DIRECTIVES:
+                self.directives.append((lineno, head[2:].lower(), value.strip()))
 
     def read(self, lineno: int, text: str, parse):
         """parse(text); the ValueError it raises is a ParseError at `lineno`."""
@@ -46,15 +47,27 @@ class _Lines:
         except ValueError as exc:
             raise ParseError(str(exc), self.path, lineno) from None
 
-    def directive(self, name: str, parse, default=None):
-        """The `# name:` directive's value read by `parse`, or `default` without one."""
-        return self.read(*self.directives[name], parse) if name in self.directives else default
+    def read_directives(self, form: str, **parsers) -> dict:
+        """Each directive's value by name, read by its parser in `parsers`; a directive
+        `form` has no parser for, or a second line of one, is a fault at its line."""
+        values: dict = {}
+
+        def parse(name: str, value: str):
+            if name not in parsers:
+                raise ValueError(f"a {form} does not read `# {name}:`")
+            if name in values:
+                raise ValueError(f"repeated `# {name}:` directive")
+            return parsers[name](value)
+
+        for lineno, name, value in self.directives:
+            values[name] = self.read(lineno, value, lambda value: parse(name, value))
+        return values
 
     def rows(self, parse) -> list:
         return [self.read(lineno, line, parse) for lineno, line in self.data]
 
 
-def _numbers(tokens, kind, problem: str, rule=lambda values: None) -> list:
+def numbers(tokens, kind, problem: str, rule=lambda values: None) -> list:
     """The tokens as `kind`s; ValueError(problem) if one is not, or the fault `rule` finds."""
     try:
         values = [kind(tok) for tok in tokens]
@@ -66,12 +79,12 @@ def _numbers(tokens, kind, problem: str, rule=lambda values: None) -> list:
 
 
 def _vertices(value: str) -> list[int]:
-    return _numbers(value.split(), int, "vertex declaration must list integers", vertex_problem)
+    return numbers(value.split(), int, "vertex declaration must list integers", vertex_problem)
 
 
 def _thresholds(value: str) -> list[float]:
-    return _numbers(value.split(), float, "thresholds must be numbers",
-                    lambda ts: threshold_problem(ts) if ts else "threshold list is empty")
+    return numbers(value.split(), float, "thresholds must be numbers",
+                   lambda ts: threshold_problem(ts) if ts else "threshold list is empty")
 
 
 def _kind(value: str) -> str:
@@ -83,19 +96,19 @@ def _kind(value: str) -> str:
 def _edge(line: str) -> list[int]:
     if len(parts := line.split()) != 2:
         raise ValueError(f"expected `u v`, got {line!r}")
-    return _numbers(parts, int, f"edge endpoints must be integers, got {line!r}",
-                    lambda edge: edge_problem(*edge))
+    return numbers(parts, int, f"edge endpoints must be integers, got {line!r}",
+                   lambda edge: edge_problem(*edge))
 
 
 def _hyperedge(line: str) -> list[int]:
-    return _numbers(line.split(), int, f"hyperedge must list integers, got {line!r}", vertex_problem)
+    return numbers(line.split(), int, f"hyperedge must list integers, got {line!r}", vertex_problem)
 
 
 def _weighted_edge(line: str) -> tuple[int, int, float]:
     if len(parts := line.split()) != 3:
         raise ValueError(f"expected `u v w`, got {line!r}")
-    u, v = _numbers(parts[:2], int, f"bad weighted edge {line!r}")
-    (w,) = _numbers(parts[2:], float, f"bad weighted edge {line!r}")
+    u, v = numbers(parts[:2], int, f"bad weighted edge {line!r}")
+    (w,) = numbers(parts[2:], float, f"bad weighted edge {line!r}")
     if not math.isfinite(w):
         raise ValueError(f"edge weight must be finite, got {line!r}")
     if problem := edge_problem(u, v):
@@ -105,14 +118,16 @@ def _weighted_edge(line: str) -> tuple[int, int, float]:
 
 def parse_digraph(text: str, path: str | None = None) -> Digraph:
     """One `u v` pair per line; `# vertices: ...` declares isolated vertices."""
-    lines = _Lines(text, path)
-    return Digraph.of(lines.directive("vertices", _vertices, []), lines.rows(_edge))
+    lines = Lines(text, path)
+    vertices = lines.read_directives("graph file", vertices=_vertices).get("vertices", [])
+    return Digraph.of(vertices, lines.rows(_edge))
 
 
 def parse_hypergraph(text: str, path: str | None = None) -> Hypergraph:
     """One hyperedge per line as space-separated vertex ids."""
-    lines = _Lines(text, path)
-    return Hypergraph.of(lines.directive("vertices", _vertices, []), lines.rows(_hyperedge))
+    lines = Lines(text, path)
+    vertices = lines.read_directives("graph file", vertices=_vertices).get("vertices", [])
+    return Hypergraph.of(vertices, lines.rows(_hyperedge))
 
 
 def read_input(path) -> str:
@@ -147,13 +162,14 @@ def parse_manifest(text: str, base_dir, path: str | None = None) -> Filtration:
     directive declares isolated vertices. Thresholds and weights must be finite,
     and thresholds strictly increasing.
     """
-    lines = _Lines(text, path)
-    thresholds = lines.directive("thresholds", _thresholds)
-    if thresholds is not None:
-        vertices = lines.directive("vertices", _vertices, [])
-        return Filtration.by_threshold(vertices, lines.rows(_weighted_edge), thresholds)
+    lines = Lines(text, path)
+    if any(name == "thresholds" for _, name, _ in lines.directives):
+        found = lines.read_directives("weighted manifest", thresholds=_thresholds,
+                                      vertices=_vertices)
+        return Filtration.by_threshold(found.get("vertices", []), lines.rows(_weighted_edge),
+                                       found["thresholds"])
 
-    kind = lines.directive("kind", _kind, "digraph")
+    kind = lines.read_directives("stage-list manifest", kind=_kind).get("kind", "digraph")
     stages: list = []
 
     def add_stage(line: str) -> None:

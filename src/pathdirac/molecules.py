@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ParseError, StructuralError
-from .fileio import read_input
+from .fileio import Lines, numbers, read_input
 from .graphs import Digraph
 from .persistence import Filtration
 
@@ -72,60 +72,52 @@ def parse_xyz(text: str, path: str | None = None) -> Molecule:
     bonded when its distance is at most 1.2x the radius sum. Bonded atoms at
     one position are a parse error, declared or inferred.
     """
-    lines = text.splitlines()
-    if not lines:
+    rows = text.splitlines()
+    if not rows:
         raise ParseError("empty molecule file", path)
-    try:
-        count = int(lines[0].split()[0])
-    except (ValueError, IndexError):
-        raise ParseError("first line must be the atom count", path, 1) from None
-    if count <= 0:
-        raise ParseError("atom count must be positive", path, 1)
-    if len(lines) < count + 2:
+    lines = Lines(text, path)
+    count = lines.read(1, rows[0], _atom_count)
+    if len(rows) < count + 2:
         raise ParseError(f"expected {count} atom rows after the comment line", path)
-    atoms = []
-    for k in range(count):
-        lineno = k + 3
-        parts = lines[k + 2].split()
-        if len(parts) < 4:
-            raise ParseError("atom row needs `Element x y z`", path, lineno)
-        element = parts[0]
-        if element not in PAULING_ELECTRONEGATIVITY:
-            raise ParseError(f"unknown element {element!r}", path, lineno)
-        try:
-            x, y, z = (float(v) for v in parts[1:4])
-        except ValueError:
-            raise ParseError("coordinates must be numeric", path, lineno) from None
-        if not all(math.isfinite(v) for v in (x, y, z)):
-            raise ParseError("coordinates must be finite", path, lineno)
-        atoms.append(Atom(element, (x, y, z)))
-    bonds = set()
-    saw_bond_line = False
-    for k, line in enumerate(lines[count + 2 :], start=count + 3):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split()
-        if parts[0].upper() != "BOND" or len(parts) != 3:
-            raise ParseError("trailer lines must be `BOND i j`", path, k)
-        saw_bond_line = True
-        try:
-            i, j = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise ParseError("bond indices must be integers", path, k) from None
-        if not (0 <= i < count and 0 <= j < count):
-            raise ParseError(f"bond index out of range in `BOND {i} {j}`", path, k)
-        if i == j:
-            raise ParseError("an atom cannot bond to itself", path, k)
-        bonds.add((min(i, j), max(i, j)))
-    atoms = tuple(atoms)
-    if not saw_bond_line:
-        bonds = infer_bonds(atoms)
-    bonds = tuple(sorted(bonds))
+    atoms = tuple(lines.read(lineno, rows[lineno - 1], _atom) for lineno in range(3, count + 3))
+    # the trailer: the data lines after the atom rows
+    trailer = [(lineno, line) for lineno, line in lines.data if lineno > count + 2]
+    bonds = {lines.read(lineno, line, lambda line: _bond(line, count)) for lineno, line in trailer}
+    bonds = tuple(sorted(bonds if trailer else infer_bonds(atoms)))
     for i, j in bonds:  # a bond's distance is its edge weight, which must be positive
         if math.dist(atoms[i].position, atoms[j].position) == 0:
             raise ParseError(f"atoms on rows {i + 3} and {j + 3} are bonded at distance 0", path)
     return Molecule(atoms, bonds)
+
+
+def _atom_count(line: str) -> int:
+    [count] = numbers(line.split()[:1] or [""], int, "first line must be the atom count")
+    if count <= 0:
+        raise ValueError("atom count must be positive")
+    return count
+
+
+def _atom(line: str) -> Atom:
+    parts = line.split()
+    if len(parts) < 4:
+        raise ValueError("atom row needs `Element x y z`")
+    if parts[0] not in PAULING_ELECTRONEGATIVITY:
+        raise ValueError(f"unknown element {parts[0]!r}")
+    xyz = numbers(parts[1:4], float, "coordinates must be numeric",
+                  lambda v: None if all(map(math.isfinite, v)) else "coordinates must be finite")
+    return Atom(parts[0], tuple(xyz))
+
+
+def _bond(line: str, count: int) -> tuple[int, int]:
+    parts = line.split()
+    if parts[0].upper() != "BOND" or len(parts) != 3:
+        raise ValueError("trailer lines must be `BOND i j`")
+    i, j = numbers(parts[1:], int, "bond indices must be integers")
+    if not (0 <= i < count and 0 <= j < count):
+        raise ValueError(f"bond index out of range in `BOND {i} {j}`")
+    if i == j:
+        raise ValueError("an atom cannot bond to itself")
+    return min(i, j), max(i, j)
 
 
 def infer_bonds(atoms: tuple[Atom, ...]) -> set[tuple[int, int]]:
@@ -162,23 +154,10 @@ def bond_digraph(mol: Molecule) -> WeightedDigraph:
     Equal electronegativity yields a reciprocal pair; the weight of every
     edge is the interatomic distance, so reciprocal edges weigh the same.
     """
-    edges = []
-    weights: dict[tuple[int, int], float] = {}
-    for i, j in mol.bonds:
-        chi_i = PAULING_ELECTRONEGATIVITY[mol.atoms[i].element]
-        chi_j = PAULING_ELECTRONEGATIVITY[mol.atoms[j].element]
-        d = mol.distance(i, j)
-        if chi_i < chi_j:
-            pairs = [(i, j)]
-        elif chi_j < chi_i:
-            pairs = [(j, i)]
-        else:
-            pairs = [(i, j), (j, i)]
-        for e in pairs:
-            edges.append(e)
-            weights[e] = d
-    g = Digraph.of(range(len(mol.atoms)), edges)
-    return WeightedDigraph(g, weights)
+    chi = [PAULING_ELECTRONEGATIVITY[atom.element] for atom in mol.atoms]
+    weights = {(u, v): mol.distance(i, j)
+               for i, j in mol.bonds for u, v in ((i, j), (j, i)) if chi[u] <= chi[v]}
+    return WeightedDigraph(Digraph.of(range(len(mol.atoms)), weights), weights)
 
 
 def distance_filtration(wd: WeightedDigraph, thresholds) -> Filtration:

@@ -124,6 +124,12 @@ class StageComplexes:
             raise ValueError(f"stage index {i} out of range 1..{len(self.complexes)}")
         return self.complexes[i - 1]
 
+    def pair(self, a: int, b: int) -> tuple[ChainComplex, ChainComplex]:
+        """Stages a and b of a stage pair a <= b."""
+        if not 1 <= a <= b <= len(self.complexes):
+            raise ValueError(f"invalid stage pair ({a}, {b})")
+        return self.complexes[a - 1], self.complexes[b - 1]
+
 
 def auxiliary_complex(stages: StageComplexes, a: int, b: int) -> ChainComplex:
     """Auxiliary complex of the stage pair a <= b to the built degree, in stage-b
@@ -134,10 +140,7 @@ def auxiliary_complex(stages: StageComplexes, a: int, b: int) -> ChainComplex:
     degree it rebuilds shares stage b's paths and float block, and its ∂∂ = 0
     follows from stage b's.
     """
-    if not 1 <= a <= b <= len(stages):
-        raise ValueError(f"invalid stage pair ({a}, {b})")
-    ca = stages.stage(a)
-    cb = stages.stage(b)
+    ca, cb = stages.pair(a, b)
     degrees: list[DegreeData] = [cb.degrees[0]]
     for k in range(1, stages.p_top + 1):
         # ∂x of x in Ω_k(b) is a cycle, so it lies in Ω_{k-1}(a) exactly when it
@@ -186,10 +189,7 @@ def persistent_laplacian(stage_a: ChainComplex, aux: ChainComplex, n: int) -> Op
 
 def persistent_betti(stages: StageComplexes, a: int, b: int, n: int) -> int:
     """Rank of the degree-n homology image from stage a into stage b."""
-    if not 1 <= a <= b <= len(stages):
-        raise ValueError(f"invalid stage pair ({a}, {b})")
-    ca = stages.stage(a)
-    cb = stages.stage(b)
+    ca, cb = stages.pair(a, b)
     if n + 1 > stages.p_top:
         raise ValueError(f"persistent betti({n}) needs stages built to degree {n + 1}")
     cycles_a = qa.kernel_basis(ca.degrees[n].boundary)

@@ -424,6 +424,9 @@ def test_exit_code_catalogue(tmp_path, capsys, argv, code):
     assert not out.exists()
 
 
+XYZ_ARGV = ["molecule", "g.txt", "--thresholds", "1"]
+
+
 @pytest.mark.parametrize(
     "argv, text, error",
     [
@@ -446,11 +449,34 @@ def test_exit_code_catalogue(tmp_path, capsys, argv, code):
          "g.txt:2: threshold list is empty"),
         (["persist", "g.txt"], "# kind: simplicial\ns1.txt\n",
          "g.txt:1: manifest kind must be digraph or hypergraph, got 'simplicial'"),
+        # XYZ files: the count line, the atom rows and the `BOND i j` trailer
+        (XYZ_ARGV, "two\nwater\n", "g.txt:1: first line must be the atom count"),
+        (XYZ_ARGV, "0\nwater\n", "g.txt:1: atom count must be positive"),
+        (XYZ_ARGV, "1\nc\nH 0 0\n", "g.txt:3: atom row needs `Element x y z`"),
+        (XYZ_ARGV, "1\nc\nXx 0 0 0\n", "g.txt:3: unknown element 'Xx'"),
+        (XYZ_ARGV, "1\nc\nH 0 zero 0\n", "g.txt:3: coordinates must be numeric"),
+        (XYZ_ARGV, "2\nc\nH 0 0 0\nH 0 inf 0\n", "g.txt:4: coordinates must be finite"),
+        (XYZ_ARGV, WATER + "\n# note\nLINK 0 1\n", "g.txt:10: trailer lines must be `BOND i j`"),
+        (XYZ_ARGV, WATER + "BOND 0 x\n", "g.txt:8: bond indices must be integers"),
+        (XYZ_ARGV, WATER + "BOND 0 3\n", "g.txt:8: bond index out of range in `BOND 0 3`"),
+        (XYZ_ARGV, WATER + "BOND 1 1\n", "g.txt:8: an atom cannot bond to itself"),
+        # a repeated directive, or one the file's form does not read
+        (["complex", "g.txt"], "0 1\n# vertices: 0 1\n# vertices: 7\n",
+         "g.txt:3: repeated `# vertices:` directive"),
+        (["persist", "g.txt"], "# thresholds: 1 2\n# kind: bogus\n0 1 1\n",
+         "g.txt:2: a weighted manifest does not read `# kind:`"),
+        (["persist", "g.txt"], "# vertices: 0 1 9\ns1.txt\n",
+         "g.txt:1: a stage-list manifest does not read `# vertices:`"),
+        (["persist", "g.txt"], "# kind: hypergraph\n# kind: digraph\ns1.txt\n",
+         "g.txt:2: repeated `# kind:` directive"),
     ],
     ids=["loop-row", "negative-digraph-row", "negative-hypergraph-row",
          "non-integer-vertices", "non-integer-manifest-vertices", "negative-vertices",
          "negative-hypergraph-vertices", "negative-manifest-vertices", "non-number-threshold",
-         "empty-thresholds", "bad-kind"],
+         "empty-thresholds", "bad-kind", "xyz-count", "xyz-count-positive", "xyz-short-row",
+         "xyz-element", "xyz-coordinate", "xyz-non-finite", "xyz-trailer", "xyz-bond-index",
+         "xyz-bond-range", "xyz-self-bond", "repeated-vertices", "weighted-kind",
+         "stage-list-vertices", "repeated-kind"],
 )
 def test_parse_fault_names_its_line(tmp_path, monkeypatch, capsys, argv, text, error):
     """A fault of a data line or a directive exits 2 with `error: path:line: message`."""

@@ -80,9 +80,11 @@ def test_manifest_stage_list(tmp_path):
     f = load_manifest(manifest)
     assert len(f) == 2
     assert f.stages[1].edges == ((0, 1),)
-    # an empty `# kind:` leaves the default, and a later `# kind:` line is a comment
-    f = parse_manifest("# kind:\n# kind: bogus\ns1.txt\n", tmp_path)
+    # an empty `# kind:` leaves the default, and a second `# kind:` line is refused
+    f = parse_manifest("# kind:\ns1.txt\n", tmp_path)
     assert f.stages == (Digraph.of([0, 1, 2], []),)
+    with pytest.raises(ParseError, match=r"^m\.txt:2: repeated `# kind:` directive$"):
+        parse_manifest("# kind:\n# kind: bogus\ns1.txt\n", tmp_path, "m.txt")
 
 
 def test_manifest_missing_stage_file(tmp_path):
