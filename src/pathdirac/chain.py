@@ -42,12 +42,12 @@ def boundary_of_path(path: Path) -> dict[Path, int]:
 
 def split_boundary(
     paths_k: list[Path], paths_km1: list[Path], boundary_of=boundary_of_path
-) -> tuple[QMatrix, QMatrix, list[Path]]:
+) -> tuple[QMatrix, QMatrix]:
     """Boundary of the degree-k span, split by row membership in the allowed list.
 
-    Returns (allowed_block, disallowed_block, disallowed_labels): stacking the
-    blocks reproduces the boundary restricted to the allowed degree-k paths;
-    disallowed rows are indexed by elementary sequences outside paths_km1.
+    Returns (allowed_block, disallowed_block): stacking the blocks reproduces the
+    boundary restricted to the allowed degree-k paths; disallowed rows are indexed,
+    in sorted order, by the elementary sequences outside paths_km1.
     """
     index = {p: i for i, p in enumerate(paths_km1)}
     cols = [boundary_of(p) for p in paths_k]
@@ -61,7 +61,7 @@ def split_boundary(
                 allowed.data[index[sub]][j] = coeff
             else:
                 disallowed.data[extra_index[sub]][j] = coeff
-    return allowed, disallowed, extra
+    return allowed, disallowed
 
 
 @dataclass
@@ -129,10 +129,16 @@ class ChainComplex:
         """Exact rank of the boundary map out of degree k (0 beyond the built range)."""
         return self.degrees[k].rank if 1 <= k <= self.p_top else 0
 
+    def guard_degree(self, k: int) -> None:
+        """Refuse a degree k unless degrees k and k+1 are both built: the Betti
+        number, Laplacian and Dirac operator of degree k read both."""
+        if not 0 <= k < self.p_top:
+            raise ValueError(f"degree {k} is outside 0..{self.p_top - 1}, "
+                             "the degrees built with the next one")
+
     def betti(self, k: int) -> int:
-        """Exact Betti number; requires degree k+1 to be built."""
-        if k < 0 or k + 1 > self.p_top:
-            raise ValueError(f"betti({k}) needs the complex built to degree {k + 1}")
+        """Exact Betti number."""
+        self.guard_degree(k)
         return self.dim(k) - self.boundary_rank(k) - self.boundary_rank(k + 1)
 
     def betti_vector(self) -> list[int]:
@@ -188,7 +194,7 @@ def build_complex(paths_per_degree: list[list[Path]], boundary_of=boundary_of_pa
     degrees = [DegreeData(paths_per_degree[0], QMatrix.identity(n0), QMatrix(0, n0), None)]
     for k in range(1, len(paths_per_degree)):
         paths_k = paths_per_degree[k]
-        allowed, disallowed, _ = split_boundary(paths_k, paths_per_degree[k - 1], boundary_of)
+        allowed, disallowed = split_boundary(paths_k, paths_per_degree[k - 1], boundary_of)
         # with no disallowed row (degree 1 of a digraph) omega is the identity
         omega = qa.kernel_basis(disallowed) if disallowed.rows else QMatrix.identity(len(paths_k))
         d = DegreeData(paths_k, omega, allowed, degrees[k - 1])

@@ -7,7 +7,6 @@ the randomized property tests.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +21,8 @@ from .chain import (
     supremum_complex,
 )
 from .graphs import Digraph, Hypergraph, h1_rank, walk_digraph
-from .operators import (DEFAULT_DENSE_LIMIT, Operator, Spectrum, dirac, down_laplacian,
-                        eigen_spectrum, float_rank, guard_size, laplacian)
+from .operators import (DEFAULT_DENSE_LIMIT, Operator, Spectrum, dirac, dirac_offsets,
+                        down_laplacian, eigen_spectrum, float_rank, guard_size, laplacian)
 from .persistence import StageComplexes, auxiliary_complex, persistent_laplacian
 
 
@@ -52,7 +51,7 @@ def check_dirac_identities(c: ChainComplex, laps: list[Operator]) -> list[CheckR
     for p in range(c.p_top):
         d = dirac(c, p)
         square = d.matrix @ d.matrix
-        offsets = list(itertools.accumulate(map(c.dim, range(p + 2)), initial=0))
+        offsets = dirac_offsets(c, p)
         blocks = [lap.matrix for lap in laps[: p + 1]] + [down_laplacian(c, p + 1).matrix]
         expect = np.zeros_like(square)
         for k, blk in enumerate(blocks):
@@ -121,7 +120,7 @@ def check_degree2_fast_path(g: Digraph, c: ChainComplex) -> CheckResult:
 
 
 def graph_check_suite(graph: Digraph | Hypergraph, c: ChainComplex) -> list[CheckResult]:
-    guard_size(sum(map(c.dim, range(c.p_top + 1))), DEFAULT_DENSE_LIMIT)  # largest Dirac first
+    guard_size(dirac_offsets(c, c.p_top - 1)[-1], DEFAULT_DENSE_LIMIT)  # largest Dirac first
     g = walk_digraph(graph)
     # The anchor spans inside their deletion closure, and the largest subcomplex
     # they contain, back both the omega and the embedded-homology checks.

@@ -76,28 +76,15 @@ def down_laplacian(c: ChainComplex, n: int, dense_limit: int = DEFAULT_DENSE_LIM
 
 def laplacian(c: ChainComplex, n: int, dense_limit: int = DEFAULT_DENSE_LIMIT) -> Operator:
     """Degree-n Laplacian in the orthonormal bases: up part plus down part."""
-    if not 0 <= n <= c.p_top - 1:
-        raise ValueError(f"laplacian degree {n} needs the complex built to degree {n + 1}")
+    c.guard_degree(n)
     down = down_laplacian(c, n, dense_limit)  # guards the size before any float block
     b_up = c.degrees[n + 1].boundary_ortho
     return Operator(n, b_up @ b_up.T + down.matrix, exact_nullity=c.betti(n))
 
 
-def dirac_from_blocks(blocks: list[np.ndarray], exact_nullity: int, degree: int) -> Operator:
-    """Assemble the symmetric block-tridiagonal matrix from boundary blocks.
-
-    blocks[k] maps degree k+1 to degree k in orthonormal bases; the block
-    sits above the diagonal with its transpose mirrored below.
-    """
-    dims = [b.shape[0] for b in blocks] + [blocks[-1].shape[1]] if blocks else []
-    offsets = [0, *itertools.accumulate(dims)]
-    m = np.zeros((offsets[-1], offsets[-1]))
-    for k, b in enumerate(blocks):
-        r0, r1 = offsets[k], offsets[k + 1]
-        c0, c1 = offsets[k + 1], offsets[k + 2]
-        m[r0:r1, c0:c1] = b
-        m[c0:c1, r0:r1] = b.T
-    return Operator(degree, m, exact_nullity)
+def dirac_offsets(c: ChainComplex, p: int) -> list[int]:
+    """Where D_p's degree blocks 0..p+1 start, then its size: the one block layout."""
+    return list(itertools.accumulate(map(c.dim, range(p + 2)), initial=0))
 
 
 def dirac(c: ChainComplex, p: int, dense_limit: int = DEFAULT_DENSE_LIMIT) -> Operator:
@@ -107,12 +94,16 @@ def dirac(c: ChainComplex, p: int, dense_limit: int = DEFAULT_DENSE_LIMIT) -> Op
     exact nullity always equals the sum of the Betti numbers through degree p
     plus the kernel dimension of the top boundary map.
     """
-    if not 0 <= p <= c.p_top - 1:
-        raise ValueError(f"dirac degree {p} needs the complex built to degree {p + 1}")
-    guard_size(sum(map(c.dim, range(p + 2))), dense_limit)  # before any float block is formed
-    blocks = [c.degrees[k].boundary_ortho for k in range(1, p + 2)]
+    c.guard_degree(p)
+    at = dirac_offsets(c, p)
+    guard_size(at[-1], dense_limit)  # before any float block is formed
+    m = np.zeros((at[-1], at[-1]))
+    for k in range(1, p + 2):  # B_k maps degree k to degree k-1: above the diagonal, Bₖᵀ below
+        b = c.degrees[k].boundary_ortho
+        m[at[k - 1]:at[k], at[k]:at[k + 1]] = b
+        m[at[k]:at[k + 1], at[k - 1]:at[k]] = b.T
     nullity = sum(c.betti(i) for i in range(p + 1)) + c.down_nullity(p + 1)
-    return dirac_from_blocks(blocks, nullity, p)
+    return Operator(p, m, nullity)
 
 
 def eigen_spectrum(matrix: np.ndarray, exact_nullity: int,

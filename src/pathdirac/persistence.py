@@ -171,8 +171,7 @@ def persistent_laplacian(stage_a: ChainComplex, aux: ChainComplex, n: int) -> Op
     Down part from the stage-a boundary; up part from the boundary of the
     auxiliary degree-(n+1) space, read at stage a's rows of stage b's paths.
     """
-    if not 0 <= n <= aux.p_top - 1:
-        raise ValueError(f"persistent laplacian degree {n} needs stages built to degree {n + 1}")
+    aux.guard_degree(n)
     d_a, up = stage_a.degrees[n], aux.degrees[n + 1]
     # the auxiliary degrees share stage b's paths and allowed blocks
     index = {path: i for i, path in enumerate(aux.degrees[n].paths)}
@@ -190,8 +189,7 @@ def persistent_laplacian(stage_a: ChainComplex, aux: ChainComplex, n: int) -> Op
 def persistent_betti(stages: StageComplexes, a: int, b: int, n: int) -> int:
     """Rank of the degree-n homology image from stage a into stage b."""
     ca, cb = stages.pair(a, b)
-    if n + 1 > stages.p_top:
-        raise ValueError(f"persistent betti({n}) needs stages built to degree {n + 1}")
+    ca.guard_degree(n)
     cycles_a = qa.kernel_basis(ca.degrees[n].boundary)
     embed = embed_paths(ca.degrees[n].paths, cb.degrees[n].paths)
     emb_omega = embed @ ca.degrees[n].omega

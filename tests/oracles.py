@@ -11,7 +11,9 @@ the package's `rational.preimage_basis`, with every re-expression solved by
 `oracle_dense_rref`, never through `rational.solve`. And
 `persistent_laplacian_by_embedding` reads the package's float blocks, but
 carries stage a into stage b's path coordinates by a float 0/1 embedding
-instead of selecting its rows. These stay deliberately slow and simple so
+instead of selecting its rows. `dirac_from_blocks` assembles D_p from the
+package's float blocks, but places each block by its own shape instead of by
+the complex's dimensions. These stay deliberately slow and simple so
 they can sit in judgment over the fast implementations. `auxiliary_bases`
 judges nothing: it reads the package's auxiliary bases back into stage-b
 coordinates for the oracles to judge.
@@ -22,6 +24,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import sympy
 
 from pathdirac import rational as qa
@@ -326,3 +329,20 @@ def persistent_laplacian_by_embedding(stage_a, aux, n: int) -> Operator:
     down = d_a.boundary_ortho.T @ d_a.boundary_ortho
     nullity = d_a.omega.cols - qa.rank(d_a.image) - qa.rank(up.image)
     return Operator(n, m @ m.T + down, nullity)
+
+
+def dirac_from_blocks(blocks: list[np.ndarray]) -> np.ndarray:
+    """The symmetric block-tridiagonal matrix of the boundary blocks, placed by shape.
+
+    blocks[k] maps degree k+1 to degree k in orthonormal bases; the block
+    sits above the diagonal with its transpose mirrored below.
+    """
+    dims = [b.shape[0] for b in blocks] + [blocks[-1].shape[1]] if blocks else []
+    offsets = [0, *itertools.accumulate(dims)]
+    m = np.zeros((offsets[-1], offsets[-1]))
+    for k, b in enumerate(blocks):
+        r0, r1 = offsets[k], offsets[k + 1]
+        c0, c1 = offsets[k + 1], offsets[k + 2]
+        m[r0:r1, c0:c1] = b
+        m[c0:c1, r0:r1] = b.T
+    return m

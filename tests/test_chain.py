@@ -54,21 +54,24 @@ def test_boundary_squared_is_zero():
 
 def test_split_boundary_cyclic_degree1_no_disallowed():
     table = anchor_path_table(CYCLIC, 1)
-    _, disallowed, labels = split_boundary(table[1], table[0])
-    assert disallowed.rows == 0 and labels == []
+    allowed, disallowed = split_boundary(table[1], table[0])
+    assert disallowed.rows == 0 and allowed.rows == len(table[0])
 
 
 def test_split_boundary_transitive_degree2_all_allowed():
     table = anchor_path_table(TRANSITIVE, 2)
-    _, disallowed, labels = split_boundary(table[2], table[1])
-    assert labels == [] and disallowed.rows == 0
+    allowed, disallowed = split_boundary(table[2], table[1])
+    assert disallowed.rows == 0
+    assert allowed.to_rows() == [[1], [-1], [1]]  # (0,1) - (0,2) + (1,2), all edges
 
 
 def test_split_boundary_cyclic_degree2_disallowed_rows():
     table = anchor_path_table(CYCLIC, 2)
-    _, disallowed, labels = split_boundary(table[2], table[1])
-    assert (0, 2) in labels
-    assert disallowed.rows == 3  # (0,2), (1,0), (2,1) all fall outside the edge set
+    assert table[2] == [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
+    _, disallowed = split_boundary(table[2], table[1])
+    # rows (0,2), (1,0), (2,1) in sorted order: the middle deletion of each path,
+    # which falls outside the edge set
+    assert disallowed.to_rows() == [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]
 
 
 def test_omega_cyclic_triangle():

@@ -10,7 +10,9 @@ from pathdirac import (
     StageComplexes,
     auxiliary_complex,
     build_digraph_complex,
+    dirac,
     down_laplacian,
+    laplacian,
     persistent_betti,
     persistent_laplacian,
 )
@@ -25,6 +27,22 @@ EDGE = Digraph.of([0, 1], [(0, 1)])
 
 def two_stages() -> StageComplexes:
     return StageComplexes(Filtration.of([Digraph.of([0, 1], []), EDGE]), 2)
+
+
+def degree_outside(k: int, top: int) -> str:
+    """The one message for a degree whose next degree is not built (top: the last
+    degree that has it)."""
+    return f"degree {k} is outside 0..{top}, the degrees built with the next one"
+
+
+def edge_complex():
+    return build_digraph_complex(EDGE, 1)
+
+
+def triangle_stages() -> StageComplexes:
+    # an edge, then the transitive triangle on the same vertices
+    return StageComplexes(Filtration.of([Digraph.of([0, 1, 2], [(0, 1)]),
+                                         Digraph.of([0, 1, 2], [(0, 1), (1, 2), (0, 2)])]), 2)
 
 
 def unknown_kind(tmp_path):
@@ -46,14 +64,22 @@ def laplacian_of_a_later_stage():
 
 
 GUARDS = {
-    "betti-out-of-range": (lambda tmp: build_digraph_complex(EDGE, 1).betti(1), ValueError,
-                           "betti(1) needs the complex built to degree 2"),
+    "betti-out-of-range": (lambda tmp: edge_complex().betti(1), ValueError,
+                           degree_outside(1, 0)),
+    "laplacian-below-zero": (lambda tmp: laplacian(edge_complex(), -1), ValueError,
+                             degree_outside(-1, 0)),
+    "laplacian-past-the-top": (lambda tmp: laplacian(edge_complex(), 1), ValueError,
+                               degree_outside(1, 0)),
+    "dirac-below-zero": (lambda tmp: dirac(edge_complex(), -1), ValueError,
+                         degree_outside(-1, 0)),
+    "dirac-past-the-top": (lambda tmp: dirac(edge_complex(), 1), ValueError,
+                           degree_outside(1, 0)),
     "empty-hyperedge": (lambda tmp: Hypergraph.of([0], [()]), ParseError,
                         "empty hyperedge is not permitted"),
     "negative-degree": (lambda tmp: anchor_path_table(EDGE, -1), ValueError,
                         "degree must be non-negative"),
     "unknown-graph-kind": (unknown_kind, ParseError, "{tmp}/g.txt: unknown graph kind 'weighted'"),
-    "down-laplacian-out-of-range": (lambda tmp: down_laplacian(build_digraph_complex(EDGE, 1), 2),
+    "down-laplacian-out-of-range": (lambda tmp: down_laplacian(edge_complex(), 2),
                                     ValueError, "down laplacian degree 2 out of built range"),
     "empty-filtration": (lambda tmp: Filtration.of([]), StructuralError,
                          "a filtration needs at least one stage"),
@@ -68,13 +94,15 @@ GUARDS = {
     "auxiliary-pair": (lambda tmp: auxiliary_complex(two_stages(), 2, 1), ValueError,
                        "invalid stage pair (2, 1)"),
     "persistent-laplacian-degree": (lambda tmp: laplacian_past_the_top(), ValueError,
-                                    "persistent laplacian degree 2 needs stages built to degree 3"),
+                                    degree_outside(2, 1)),
     "persistent-laplacian-stage": (lambda tmp: laplacian_of_a_later_stage(), ValueError,
                                    "stage a's degree-0 path (2,) is not a path of the pair complex"),
     "persistent-betti-pair": (lambda tmp: persistent_betti(two_stages(), 1, 3, 0), ValueError,
                               "invalid stage pair (1, 3)"),
     "persistent-betti-degree": (lambda tmp: persistent_betti(two_stages(), 1, 2, 2), ValueError,
-                                "persistent betti(2) needs stages built to degree 3"),
+                                degree_outside(2, 1)),
+    "persistent-betti-negative-degree": (lambda tmp: persistent_betti(triangle_stages(), 1, 2, -2),
+                                         ValueError, degree_outside(-2, 1)),
     "ragged-rows": (lambda tmp: QMatrix.from_rows([[1, 2], [3]]), ValueError,
                     "data shape does not match declared dimensions"),
     "matmul-shape": (lambda tmp: QMatrix(2, 3) @ QMatrix(2, 3), ValueError,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import dirac_from_blocks
 from pathdirac import Digraph, build_digraph_complex
 from pathdirac.checks import spectrum_symmetry_defect
 from pathdirac.errors import NumericalInconsistencyError, ResourceLimitError
@@ -288,11 +289,9 @@ def test_basis_invariance_under_rotation(digraph_complexes):
             blocks.append(rotations[k - 1].T @ b @ rotations[k])
         for p in range(c.p_top):
             d = dirac(c, p)
-            from pathdirac.operators import dirac_from_blocks
-
-            rotated = dirac_from_blocks(blocks[: p + 1], d.exact_nullity, p)
+            rotated = dirac_from_blocks(blocks[: p + 1])
             s1 = eigen_spectrum(d.matrix, d.exact_nullity).values
-            s2 = eigen_spectrum(rotated.matrix, rotated.exact_nullity).values
+            s2 = eigen_spectrum(rotated, d.exact_nullity).values
             np.testing.assert_allclose(s1, s2, atol=1e-8)
         for n in range(c.p_top):
             lap = laplacian(c, n)
@@ -302,6 +301,17 @@ def test_basis_invariance_under_rotation(digraph_complexes):
             s1 = eigen_spectrum(lap.matrix, lap.exact_nullity).values
             s2 = eigen_spectrum(rotated_matrix, lap.exact_nullity).values
             np.testing.assert_allclose(s1, s2, atol=1e-8)
+
+
+def test_dirac_places_blocks_as_their_shapes_do(digraph_complexes, hypergraph_complexes):
+    """D_p laid out by the complex's dimensions equals, entry for entry, D_p laid out by
+    the shapes of its boundary blocks; the 3-cycle at p = 2 has empty degrees 2 and 3."""
+    cycle = build_digraph_complex(CYCLIC, 3)
+    cases = [(c, p) for _, c in digraph_complexes + hypergraph_complexes for p in range(c.p_top)]
+    for c, p in cases + [(cycle, 2)]:
+        blocks = [c.degrees[k].boundary_ortho for k in range(1, p + 2)]
+        np.testing.assert_array_equal(dirac(c, p).matrix, dirac_from_blocks(blocks))
+    assert [cycle.dim(k) for k in range(4)] == [3, 3, 0, 0]
 
 
 def test_dense_size_guard():

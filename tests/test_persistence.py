@@ -168,7 +168,7 @@ def assert_stage_images(stages: StageComplexes) -> None:
     coordinates: the allowed block times omega, and omega_{k-1} times the boundary."""
     for c in stages.complexes:
         for prev, d in zip(c.degrees, c.degrees[1:]):
-            allowed, _, _ = split_boundary(d.paths, prev.paths)
+            allowed, _ = split_boundary(d.paths, prev.paths)
             assert d.image == allowed @ d.omega
             assert d.image == prev.omega @ d.boundary
 
