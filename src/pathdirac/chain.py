@@ -107,7 +107,19 @@ class DegreeData:
     def boundary_ortho(self) -> np.ndarray:  # boundary in orthonormal bases
         if self.prev is None:
             return np.zeros((0, self.omega.cols))
-        return self.prev.ortho.T @ (self.allowed_block @ self.ortho)
+        return self.boundary_onto(self.prev)
+
+    def boundary_onto(self, lower: DegreeData) -> np.ndarray:
+        """The boundary in orthonormal bases onto `lower`: the previous degree, or one
+        whose paths are among the previous degree's (as a stage pair's stage a is)."""
+        block = self.allowed_block
+        if lower is not self.prev:  # select lower's rows of the previous degree's paths
+            index = {path: i for i, path in enumerate(self.prev.paths)}
+            if missing := next((path for path in lower.paths if path not in index), None):
+                raise ValueError(f"degree-{len(missing) - 1} path {missing} is not among "
+                                 "the paths this boundary maps into")
+            block = block[[index[path] for path in lower.paths]]
+        return lower.ortho.T @ (block @ self.ortho)
 
 
 class ChainComplex:

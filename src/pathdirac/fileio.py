@@ -88,7 +88,7 @@ def _thresholds(value: str) -> list[float]:
 
 
 def _kind(value: str) -> str:
-    if value not in ("", "digraph", "hypergraph"):
+    if value not in ("", *GRAPH_FILES):
         raise ValueError(f"manifest kind must be digraph or hypergraph, got {value!r}")
     return value or "digraph"  # an empty `# kind:` leaves the default
 
@@ -116,24 +116,27 @@ def _weighted_edge(line: str) -> tuple[int, int, float]:
     return u, v, w
 
 
-def parse_digraph(text: str, path: str | None = None) -> Digraph:
-    """One `u v` pair per line; `# vertices: ...` declares isolated vertices."""
-    lines = Lines(text, path)
-    vertices = lines.read_directives("graph file", vertices=_vertices).get("vertices", [])
-    return Digraph.of(vertices, lines.rows(_edge))
+GRAPH_FILES = {"digraph": (Digraph, _edge), "hypergraph": (Hypergraph, _hyperedge)}
 
 
-def parse_hypergraph(text: str, path: str | None = None) -> Hypergraph:
-    """One hyperedge per line as space-separated vertex ids."""
+def parse_graph(text: str, kind: str, path: str | None = None) -> Digraph | Hypergraph:
+    """A graph file: one `u v` edge per line of a digraph, or one hyperedge per line
+    of a hypergraph as space-separated vertex ids; `# vertices: ...` declares
+    isolated vertices."""
+    if kind not in GRAPH_FILES:
+        raise ParseError(f"unknown graph kind {kind!r}", path)
+    graph, row = GRAPH_FILES[kind]
     lines = Lines(text, path)
     vertices = lines.read_directives("graph file", vertices=_vertices).get("vertices", [])
-    return Hypergraph.of(vertices, lines.rows(_hyperedge))
+    return graph.of(vertices, lines.rows(row))
 
 
 def read_input(path) -> str:
-    """Text of an input file; an unreadable or non-UTF-8 file is a ParseError naming it."""
+    """Text of an input file, less a UTF-8 byte-order mark; an unreadable or non-UTF-8
+    file is a ParseError naming it."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        # not "utf-8-sig", which counts a fault's byte from after the mark
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except OSError as exc:
         raise ParseError(f"cannot read file: {exc.strerror or exc}", str(path)) from None
     except UnicodeDecodeError as exc:
@@ -141,12 +144,7 @@ def read_input(path) -> str:
 
 
 def load_graph(path, kind: str):
-    text = read_input(path)
-    if kind == "digraph":
-        return parse_digraph(text, str(path))
-    if kind == "hypergraph":
-        return parse_hypergraph(text, str(path))
-    raise ParseError(f"unknown graph kind {kind!r}", str(path))
+    return parse_graph(read_input(path), kind, str(path))
 
 
 def parse_manifest(text: str, base_dir, path: str | None = None) -> Filtration:

@@ -16,34 +16,25 @@ from .fileio import Lines, numbers, read_input
 from .graphs import Digraph
 from .persistence import Filtration
 
-# Pauling-scale electronegativities for the elements that have one.
-PAULING_ELECTRONEGATIVITY: dict[str, float] = {
-    "H": 2.20, "Li": 0.98, "Be": 1.57, "B": 2.04, "C": 2.55, "N": 3.04,
-    "O": 3.44, "F": 3.98, "Na": 0.93, "Mg": 1.31, "Al": 1.61, "Si": 1.90,
-    "P": 2.19, "S": 2.58, "Cl": 3.16, "K": 0.82, "Ca": 1.00, "Sc": 1.36,
-    "Ti": 1.54, "V": 1.63, "Cr": 1.66, "Mn": 1.55, "Fe": 1.83, "Co": 1.88,
-    "Ni": 1.91, "Cu": 1.90, "Zn": 1.65, "Ga": 1.81, "Ge": 2.01, "As": 2.18,
-    "Se": 2.55, "Br": 2.96, "Rb": 0.82, "Sr": 0.95, "Y": 1.22, "Zr": 1.33,
-    "Nb": 1.60, "Mo": 2.16, "Tc": 1.90, "Ru": 2.20, "Rh": 2.28, "Pd": 2.20,
-    "Ag": 1.93, "Cd": 1.69, "In": 1.78, "Sn": 1.96, "Sb": 2.05, "Te": 2.10,
-    "I": 2.66, "Cs": 0.79, "Ba": 0.89, "La": 1.10, "Hf": 1.30, "Ta": 1.50,
-    "W": 2.36, "Re": 1.90, "Os": 2.20, "Ir": 2.20, "Pt": 2.28, "Au": 2.54,
-    "Hg": 2.00, "Tl": 1.62, "Pb": 2.33, "Bi": 2.02,
-}
-
-# Single-bond covalent radii in Angstrom, used only for bond inference.
-COVALENT_RADIUS: dict[str, float] = {
-    "H": 0.31, "Li": 1.28, "Be": 0.96, "B": 0.84, "C": 0.76, "N": 0.71,
-    "O": 0.66, "F": 0.57, "Na": 1.66, "Mg": 1.41, "Al": 1.21, "Si": 1.11,
-    "P": 1.07, "S": 1.05, "Cl": 1.02, "K": 2.03, "Ca": 1.76, "Sc": 1.70,
-    "Ti": 1.60, "V": 1.53, "Cr": 1.39, "Mn": 1.39, "Fe": 1.32, "Co": 1.26,
-    "Ni": 1.24, "Cu": 1.32, "Zn": 1.22, "Ga": 1.22, "Ge": 1.20, "As": 1.19,
-    "Se": 1.20, "Br": 1.20, "Rb": 2.20, "Sr": 1.95, "Y": 1.90, "Zr": 1.75,
-    "Nb": 1.64, "Mo": 1.54, "Tc": 1.47, "Ru": 1.46, "Rh": 1.42, "Pd": 1.39,
-    "Ag": 1.45, "Cd": 1.44, "In": 1.42, "Sn": 1.39, "Sb": 1.39, "Te": 1.38,
-    "I": 1.39, "Cs": 2.44, "Ba": 2.15, "La": 2.07, "Hf": 1.75, "Ta": 1.70,
-    "W": 1.62, "Re": 1.51, "Os": 1.44, "Ir": 1.41, "Pt": 1.36, "Au": 1.36,
-    "Hg": 1.32, "Tl": 1.45, "Pb": 1.46, "Bi": 1.48,
+# Each element with a Pauling-scale electronegativity: (electronegativity, single-bond
+# covalent radius in Angstrom). The radius is read only for bond inference.
+ELEMENTS: dict[str, tuple[float, float]] = {
+    "H": (2.20, 0.31), "Li": (0.98, 1.28), "Be": (1.57, 0.96), "B": (2.04, 0.84),
+    "C": (2.55, 0.76), "N": (3.04, 0.71), "O": (3.44, 0.66), "F": (3.98, 0.57),
+    "Na": (0.93, 1.66), "Mg": (1.31, 1.41), "Al": (1.61, 1.21), "Si": (1.90, 1.11),
+    "P": (2.19, 1.07), "S": (2.58, 1.05), "Cl": (3.16, 1.02), "K": (0.82, 2.03),
+    "Ca": (1.00, 1.76), "Sc": (1.36, 1.70), "Ti": (1.54, 1.60), "V": (1.63, 1.53),
+    "Cr": (1.66, 1.39), "Mn": (1.55, 1.39), "Fe": (1.83, 1.32), "Co": (1.88, 1.26),
+    "Ni": (1.91, 1.24), "Cu": (1.90, 1.32), "Zn": (1.65, 1.22), "Ga": (1.81, 1.22),
+    "Ge": (2.01, 1.20), "As": (2.18, 1.19), "Se": (2.55, 1.20), "Br": (2.96, 1.20),
+    "Rb": (0.82, 2.20), "Sr": (0.95, 1.95), "Y": (1.22, 1.90), "Zr": (1.33, 1.75),
+    "Nb": (1.60, 1.64), "Mo": (2.16, 1.54), "Tc": (1.90, 1.47), "Ru": (2.20, 1.46),
+    "Rh": (2.28, 1.42), "Pd": (2.20, 1.39), "Ag": (1.93, 1.45), "Cd": (1.69, 1.44),
+    "In": (1.78, 1.42), "Sn": (1.96, 1.39), "Sb": (2.05, 1.39), "Te": (2.10, 1.38),
+    "I": (2.66, 1.39), "Cs": (0.79, 2.44), "Ba": (0.89, 2.15), "La": (1.10, 2.07),
+    "Hf": (1.30, 1.75), "Ta": (1.50, 1.70), "W": (2.36, 1.62), "Re": (1.90, 1.51),
+    "Os": (2.20, 1.44), "Ir": (2.20, 1.41), "Pt": (2.28, 1.36), "Au": (2.54, 1.36),
+    "Hg": (2.00, 1.32), "Tl": (1.62, 1.45), "Pb": (2.33, 1.46), "Bi": (2.02, 1.48),
 }
 
 BOND_INFERENCE_SCALE = 1.2
@@ -101,7 +92,7 @@ def _atom(line: str) -> Atom:
     parts = line.split()
     if len(parts) < 4:
         raise ValueError("atom row needs `Element x y z`")
-    if parts[0] not in PAULING_ELECTRONEGATIVITY:
+    if parts[0] not in ELEMENTS:
         raise ValueError(f"unknown element {parts[0]!r}")
     xyz = numbers(parts[1:4], float, "coordinates must be numeric",
                   lambda v: None if all(map(math.isfinite, v)) else "coordinates must be finite")
@@ -121,14 +112,10 @@ def _bond(line: str, count: int) -> tuple[int, int]:
 
 
 def infer_bonds(atoms: tuple[Atom, ...]) -> set[tuple[int, int]]:
-    bonds = set()
-    for i in range(len(atoms)):
-        for j in range(i + 1, len(atoms)):
-            ri = COVALENT_RADIUS[atoms[i].element]
-            rj = COVALENT_RADIUS[atoms[j].element]
-            if math.dist(atoms[i].position, atoms[j].position) <= BOND_INFERENCE_SCALE * (ri + rj):
-                bonds.add((i, j))
-    return bonds
+    radius = [ELEMENTS[atom.element][1] for atom in atoms]
+    return {(i, j) for i in range(len(atoms)) for j in range(i + 1, len(atoms))
+            if math.dist(atoms[i].position, atoms[j].position)
+            <= BOND_INFERENCE_SCALE * (radius[i] + radius[j])}
 
 
 def load_molecule(path) -> Molecule:
@@ -154,7 +141,7 @@ def bond_digraph(mol: Molecule) -> WeightedDigraph:
     Equal electronegativity yields a reciprocal pair; the weight of every
     edge is the interatomic distance, so reciprocal edges weigh the same.
     """
-    chi = [PAULING_ELECTRONEGATIVITY[atom.element] for atom in mol.atoms]
+    chi = [ELEMENTS[atom.element][0] for atom in mol.atoms]
     weights = {(u, v): mol.distance(i, j)
                for i, j in mol.bonds for u, v in ((i, j), (j, i)) if chi[u] <= chi[v]}
     return WeightedDigraph(Digraph.of(range(len(mol.atoms)), weights), weights)

@@ -169,17 +169,11 @@ def persistent_laplacian(stage_a: ChainComplex, aux: ChainComplex, n: int) -> Op
     """Persistent Laplacian on the stage-a degree-n space.
 
     Down part from the stage-a boundary; up part from the boundary of the
-    auxiliary degree-(n+1) space, read at stage a's rows of stage b's paths.
+    auxiliary degree-(n+1) space onto stage a's degree n.
     """
     aux.guard_degree(n)
-    d_a, up = stage_a.degrees[n], aux.degrees[n + 1]
-    # the auxiliary degrees share stage b's paths and allowed blocks
-    index = {path: i for i, path in enumerate(aux.degrees[n].paths)}
-    if missing := next((path for path in d_a.paths if path not in index), None):
-        raise ValueError(f"stage a's degree-{n} path {missing} is not a path of the pair complex")
-    rows = [index[path] for path in d_a.paths]
     down = down_laplacian(stage_a, n).matrix
-    m = d_a.ortho.T @ (up.allowed_block[rows] @ up.ortho)
+    m = aux.degrees[n + 1].boundary_onto(stage_a.degrees[n])
     # The auxiliary boundary lands in the stage-a space, whose basis is injective
     # in stage b, so its rank is the rank of the map into stage a.
     nullity = stage_a.dim(n) - stage_a.boundary_rank(n) - aux.boundary_rank(n + 1)

@@ -5,13 +5,16 @@ enumeration is brute force over vertex tuples, ranks come from sympy, and
 Betti numbers use the embedded-homology quotient formula over unrestricted
 boundary matrices. Exact elimination has a second judge besides sympy: the
 dense Fraction Gauss-Jordan `oracle_dense_rref`, with the kernel,
-column-space and preimage bases read off it. There are two exceptions.
+column-space and preimage bases read off it. There are four exceptions.
 `oracle_auxiliary_route` builds the auxiliary complex along a second route:
 the package's `rational.preimage_basis`, with every re-expression solved by
-`oracle_dense_rref`, never through `rational.solve`. And
+`oracle_dense_rref`, never through `rational.solve`.
 `persistent_laplacian_by_embedding` reads the package's float blocks, but
 carries stage a into stage b's path coordinates by a float 0/1 embedding
-instead of selecting its rows. `dirac_from_blocks` assembles D_p from the
+instead of selecting its rows. `exact_boundary_square_sum` and
+`boundary_singular_values` read the package's exact bases and boundaries, but
+judge the float boundary blocks over the rationals and through a Cholesky
+factor instead of the package's QR. `dirac_from_blocks` assembles D_p from the
 package's float blocks, but places each block by its own shape instead of by
 the complex's dimensions. These stay deliberately slow and simple so
 they can sit in judgment over the fast implementations. `auxiliary_bases`
@@ -313,6 +316,37 @@ def auxiliary_bases(stages, aux, b: int) -> list[QMatrix]:
     is an injective echelon basis, so `rational.solve` recovers them exactly."""
     cb = stages.stage(b)
     return [qa.solve(cb.degrees[k].omega, d.omega) for k, d in enumerate(aux.degrees)]
+
+
+def gram(basis: QMatrix) -> QMatrix:
+    """G = WᵀW, the exact Gram matrix of a basis W."""
+    return basis.transpose() @ basis
+
+
+def exact_boundary_square_sum(d) -> Fraction:
+    """Σσ² of a degree's boundary in orthonormal bases, over the rationals.
+
+    Any orthonormal bases Q = W T of the exact bases' spans have T Tᵀ = G⁻¹,
+    so the squared Frobenius norm of Q_{k-1}ᵀ ∂ Q_k is tr(G_k⁻¹ ∂_kᵀ G_{k-1} ∂_k),
+    with G_k⁻¹ M read off the reduced echelon form of [G_k | M].
+    """
+    g, boundary = gram(d.omega), d.boundary
+    m = boundary.transpose() @ (gram(d.prev.omega) @ boundary)
+    r, pivots = qa.rref(qa.hstack(g, m))
+    assert pivots == list(range(g.cols)), "a Gram matrix of a basis is invertible"
+    return sum((Fraction(r.data[i].get(g.cols + i, 0)) for i in range(g.cols)), Fraction(0))
+
+
+def boundary_singular_values(d) -> np.ndarray:
+    """Singular values of a degree's boundary in orthonormal bases, along the
+    Cholesky route: R_{k-1}^{-T} (G_{k-1} ∂_k) R_k^{-1}, where R is the float
+    Cholesky factor of the exact Gram matrix (G = RᵀR), so no QR enters."""
+    g_prev, g = gram(d.prev.omega), gram(d.omega)
+    if not (g_prev.cols and g.cols):
+        return np.zeros(0)
+    l_prev, l = np.linalg.cholesky(g_prev.to_float()), np.linalg.cholesky(g.to_float())  # L = Rᵀ
+    x = np.linalg.solve(l_prev, (g_prev @ d.boundary).to_float())  # R_{k-1}^{-T} G_{k-1} ∂_k
+    return np.linalg.svd(np.linalg.solve(l, x.T).T, compute_uv=False)
 
 
 def persistent_laplacian_by_embedding(stage_a, aux, n: int) -> Operator:

@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 from oracles import (
+    boundary_singular_values,
+    exact_boundary_square_sum,
     oracle_betti,
     oracle_betti_digraph,
     oracle_betti_hypergraph,
     oracle_omega_dims_digraph,
 )
-from pathdirac import Digraph, Hypergraph, boundary_of_path, dirac, laplacian
+from pathdirac import (Digraph, Hypergraph, auxiliary_complex, boundary_of_path, dirac,
+                       laplacian)
 from pathdirac import rational as qa
 from pathdirac import chain
 from pathdirac.chain import (
@@ -211,6 +214,38 @@ def test_orthonormal_basis_passes_distinct_unit_columns_only(monkeypatch):
 def test_orthonormal_basis_rejects_rank_deficiency():
     with pytest.raises(StructuralError):
         orthonormal_basis(QMatrix.from_rows([[1, 1], [1, 1]]))
+
+
+@pytest.fixture(scope="module")
+def judged_degrees(digraph_complexes, molecule_stage_complexes):
+    """Each degree k >= 1, with its complex, of the digraph corpus, of the complete
+    digraph on 7 vertices, and of the 28 pair complexes of the 7-stage molecule grid."""
+    k7 = Digraph.of(range(7), [(u, v) for u in range(7) for v in range(7) if u != v])
+    stages = molecule_stage_complexes
+    complexes = [c for _, c in digraph_complexes] + [build_digraph_complex(k7, 2)]
+    complexes += [auxiliary_complex(stages, a, b)
+                  for a in range(1, len(stages) + 1) for b in range(a, len(stages) + 1)]
+    return [(c, k) for c in complexes for k in range(1, c.p_top + 1)]
+
+
+def test_boundary_block_square_sum_is_exact(judged_degrees):
+    """Σσ² of each float boundary block is the exact trace tr(G_k⁻¹ ∂ᵀ G_{k-1} ∂)."""
+    for c, k in judged_degrees:
+        d = c.degrees[k]
+        exact = exact_boundary_square_sum(d)
+        assert float(np.sum(d.boundary_ortho ** 2)) == pytest.approx(float(exact), rel=1e-9), k
+
+
+def test_boundary_block_singular_values_match_the_cholesky_route(judged_degrees):
+    """The float boundary block has the singular values of the Cholesky route, and
+    exactly its degree's exact rank of them are nonzero."""
+    for c, k in judged_degrees:
+        d = c.degrees[k]
+        judge = boundary_singular_values(d)
+        got = np.linalg.svd(d.boundary_ortho, compute_uv=False)
+        scale = max(1.0, judge.max(initial=0.0))
+        np.testing.assert_allclose(got, judge, rtol=0, atol=1e-12 * scale)
+        assert np.sum(judge > 1e-8 * scale) == c.boundary_rank(k)
 
 
 def test_deletion_closure_minimal():

@@ -1,5 +1,6 @@
 """File parsing, manifests, serialization determinism, and the SVG writer."""
 
+import hashlib
 import json
 import os
 import stat
@@ -13,10 +14,10 @@ from pathdirac.fileio import (
     format_cell,
     grid_csv,
     grid_payload,
+    input_digest,
     load_graph,
     load_manifest,
-    parse_digraph,
-    parse_hypergraph,
+    parse_graph,
     parse_manifest,
     result_document,
     round_floats,
@@ -28,48 +29,50 @@ from pathdirac.heatmap import grid_heatmap_svg, ramp_color
 from pathdirac.molecules import load_molecule
 from pathdirac.persistence import feature_grid
 
+BOM = "\ufeff".encode()  # the UTF-8 byte-order mark
+
 
 def test_parse_digraph_basic():
-    g = parse_digraph("0 1\n1 2\n# comment\n2 0\n")
+    g = parse_graph("0 1\n1 2\n# comment\n2 0\n", "digraph")
     assert g == Digraph.of([0, 1, 2], [(0, 1), (1, 2), (2, 0)])
 
 
 def test_parse_digraph_vertices_directive():
-    g = parse_digraph("# vertices: 0 1 2 3\n0 1\n")
+    g = parse_graph("# vertices: 0 1 2 3\n0 1\n", "digraph")
     assert g.vertices == (0, 1, 2, 3)
 
 
 def test_parse_digraph_errors_carry_line_numbers():
     with pytest.raises(ParseError) as err:
-        parse_digraph("0 1\n0 1 2\n", path="g.txt")
+        parse_graph("0 1\n0 1 2\n", "digraph", "g.txt")
     assert "g.txt:2" in str(err.value)
     with pytest.raises(ParseError):
-        parse_digraph("0 x\n")
+        parse_graph("0 x\n", "digraph")
     with pytest.raises(ParseError):
-        parse_digraph("3 3\n")  # loop
+        parse_graph("3 3\n", "digraph")  # loop
 
 
 def test_parse_errors_without_a_path_name_the_line():
     with pytest.raises(ParseError, match="^line 2: expected `u v`, got '1 2 3'$"):
-        parse_digraph("0 1\n1 2 3\n")
+        parse_graph("0 1\n1 2 3\n", "digraph")
     with pytest.raises(ParseError, match="^g.txt:2: expected `u v`, got '1 2 3'$"):
-        parse_digraph("0 1\n1 2 3\n", path="g.txt")
+        parse_graph("0 1\n1 2 3\n", "digraph", "g.txt")
     with pytest.raises(ParseError, match="^line 1: loop edge 3->3 is not permitted$"):
-        parse_digraph("3 3\n")
+        parse_graph("3 3\n", "digraph")
     with pytest.raises(ParseError, match="^g.txt:1: loop edge 3->3 is not permitted$"):
-        parse_digraph("3 3\n", path="g.txt")
+        parse_graph("3 3\n", "digraph", "g.txt")
     # the directives are read before the rows, and the rows in order
     with pytest.raises(ParseError, match="^line 3: vertex declaration must list integers$"):
-        parse_digraph("0 x\n1 1\n# vertices: 0 x\n")
+        parse_graph("0 x\n1 1\n# vertices: 0 x\n", "digraph")
     with pytest.raises(ParseError, match="^line 1: loop edge 1->1 is not permitted$"):
-        parse_digraph("1 1\n0 x\n")
+        parse_graph("1 1\n0 x\n", "digraph")
 
 
 def test_parse_hypergraph():
-    h = parse_hypergraph("0 1 2\n3 4 5\n")
+    h = parse_graph("0 1 2\n3 4 5\n", "hypergraph")
     assert h.hyperedges == ((0, 1, 2), (3, 4, 5))
     with pytest.raises(ParseError):
-        parse_hypergraph("0 a\n")
+        parse_graph("0 a\n", "hypergraph")
 
 
 def test_manifest_stage_list(tmp_path):
@@ -123,9 +126,33 @@ def test_loaders_name_unreadable_files(tmp_path, load):
     with pytest.raises(ParseError) as err:
         load(binary)
     assert str(err.value) == f"{binary}: not UTF-8 text (byte 4)"
+    binary.write_bytes(BOM + b"0 1\n\xff\n")  # the byte is counted in the file, mark included
+    with pytest.raises(ParseError) as err:
+        load(binary)
+    assert str(err.value) == f"{binary}: not UTF-8 text (byte 7)"
     with pytest.raises(ParseError) as err:
         load(tmp_path)
     assert str(err.value).startswith(f"{tmp_path}: cannot read file")
+
+
+INPUTS = {  # each kind of input file, starting with a line that a mark would spoil
+    "digraph": (lambda path: load_graph(path, "digraph"), "# vertices: 0 1 2 3\n0 1\n1 2\n"),
+    "hypergraph": (lambda path: load_graph(path, "hypergraph"), "0 1 2\n2 3\n"),
+    "manifest": (load_manifest, "# thresholds: 0.5 1\n# vertices: 0 1 2\n1 0 0.97\n2 0 0.97\n"),
+    "xyz": (load_molecule, "2\nCO\nC 0 0 0\nO 1.13 0 0\n"),
+}
+
+
+@pytest.mark.parametrize("kind", INPUTS)
+def test_inputs_read_past_a_byte_order_mark(tmp_path, kind):
+    """A file that starts with a UTF-8 byte-order mark reads like its copy without
+    one; the input digest still hashes the file's bytes."""
+    load, text = INPUTS[kind]
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(BOM + text.encode())
+    assert load(marked) == load(plain)
+    assert input_digest(marked) == hashlib.sha256(BOM + text.encode()).hexdigest()
 
 
 def test_manifest_weighted_form(tmp_path):

@@ -96,7 +96,8 @@ GUARDS = {
     "persistent-laplacian-degree": (lambda tmp: laplacian_past_the_top(), ValueError,
                                     degree_outside(2, 1)),
     "persistent-laplacian-stage": (lambda tmp: laplacian_of_a_later_stage(), ValueError,
-                                   "stage a's degree-0 path (2,) is not a path of the pair complex"),
+                                   "degree-0 path (2,) is not among the paths this boundary "
+                                   "maps into"),
     "persistent-betti-pair": (lambda tmp: persistent_betti(two_stages(), 1, 3, 0), ValueError,
                               "invalid stage pair (1, 3)"),
     "persistent-betti-degree": (lambda tmp: persistent_betti(two_stages(), 1, 2, 2), ValueError,

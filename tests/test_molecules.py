@@ -8,11 +8,7 @@ import pytest
 from pathdirac import (Digraph, StageComplexes, WeightedDigraph, bond_digraph,
                        distance_filtration, parse_xyz)
 from pathdirac.errors import ParseError, StructuralError
-from pathdirac.molecules import (
-    COVALENT_RADIUS,
-    PAULING_ELECTRONEGATIVITY,
-    infer_bonds,
-)
+from pathdirac.molecules import ELEMENTS, infer_bonds
 from pathdirac.persistence import feature_grid
 
 WATER_XYZ = """3
@@ -105,12 +101,6 @@ def test_bond_inference_water():
     assert infer_bonds(mol.atoms) == {(0, 1), (0, 2)}
 
 
-def test_element_tables_share_keys():
-    """`parse_xyz` admits the electronegativity table's elements; bond inference
-    looks each one up in the radius table."""
-    assert PAULING_ELECTRONEGATIVITY.keys() == COVALENT_RADIUS.keys()
-
-
 def test_water_bond_digraph_directions():
     wd = bond_digraph(parse_xyz(WATER_XYZ))
     # chi(H) < chi(O): both edges point into the oxygen
@@ -127,17 +117,16 @@ def test_same_element_bond_is_reciprocal():
 
 
 def test_boron_hydrogen_carbon_ordering():
-    assert PAULING_ELECTRONEGATIVITY["B"] < PAULING_ELECTRONEGATIVITY["H"]
-    assert PAULING_ELECTRONEGATIVITY["H"] < PAULING_ELECTRONEGATIVITY["C"]
+    assert ELEMENTS["B"][0] < ELEMENTS["H"][0] < ELEMENTS["C"][0]
     text = "2\nborane fragment\nB 0 0 0\nH 1.19 0 0\nBOND 0 1\n"
     wd = bond_digraph(parse_xyz(text))
     assert wd.digraph.edges == ((0, 1),)  # B -> H only
 
 
 def test_pinned_electronegativities():
-    assert PAULING_ELECTRONEGATIVITY["H"] == 2.20
-    assert PAULING_ELECTRONEGATIVITY["C"] == 2.55
-    assert PAULING_ELECTRONEGATIVITY["O"] == 3.44
+    assert ELEMENTS["H"][0] == 2.20
+    assert ELEMENTS["C"][0] == 2.55
+    assert ELEMENTS["O"][0] == 3.44
 
 
 def test_synthetic_fragment_distances_match_table():

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from pathdirac import Digraph
 from pathdirac.cli import main
 from pathdirac.errors import ParseError
-from pathdirac.fileio import parse_digraph, parse_hypergraph, parse_manifest
+from pathdirac.fileio import parse_graph, parse_manifest
 from pathdirac.molecules import parse_xyz
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -42,13 +42,13 @@ def parses_or_parse_error(parse, text: str) -> None:
 @SETTINGS
 @given(SOUP)
 def test_parse_digraph_raises_only_parse_error(text):
-    parses_or_parse_error(parse_digraph, text)
+    parses_or_parse_error(lambda t: parse_graph(t, "digraph"), text)
 
 
 @SETTINGS
 @given(SOUP)
 def test_parse_hypergraph_raises_only_parse_error(text):
-    parses_or_parse_error(parse_hypergraph, text)
+    parses_or_parse_error(lambda t: parse_graph(t, "hypergraph"), text)
 
 
 @SETTINGS
@@ -78,7 +78,7 @@ def digraphs(draw):
 def test_digraph_text_round_trip(g):
     lines = ["# vertices: " + " ".join(map(str, g.vertices))]
     lines += [f"{u} {v}" for u, v in g.edges]
-    assert parse_digraph("\n".join(lines) + "\n") == g
+    assert parse_graph("\n".join(lines) + "\n", "digraph") == g
 
 
 STAGE_FILES = {
