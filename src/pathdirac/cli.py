@@ -160,6 +160,15 @@ def _build(args, graph):
     return build_hypergraph_complex(graph, args.p + 1, args.cap)
 
 
+def _exact_rows(m) -> list[list[str]]:
+    """QMatrix m's dense rows as strings: "0" wherever a row stores no entry."""
+    rows = [["0"] * m.cols for _ in m.data]
+    for row, nonzeros in zip(rows, m.data):
+        for j, x in nonzeros.items():
+            row[j] = str(x)
+    return rows
+
+
 def cmd_complex(args) -> int:
     graph = load_graph(args.input, args.kind)
     c = _build(args, graph)
@@ -171,14 +180,8 @@ def cmd_complex(args) -> int:
         "betti": c.betti_vector(),
     }
     if args.dump_matrices:
-        payload["boundaries"] = [
-            [[str(x) for x in row] for row in c.degrees[k].boundary.to_rows()]
-            for k in range(1, c.p_top + 1)
-        ]
-        payload["omega_bases"] = [
-            [[str(x) for x in row] for row in c.degrees[k].omega.to_rows()]
-            for k in range(c.p_top + 1)
-        ]
+        payload["boundaries"] = [_exact_rows(c.degrees[k].boundary) for k in range(1, c.p_top + 1)]
+        payload["omega_bases"] = [_exact_rows(c.degrees[k].omega) for k in range(c.p_top + 1)]
     doc = result_document("complex", args.input, payload)
     out = args.out / f"{Path(args.input).stem}.complex.json"
     write_json(out, doc)

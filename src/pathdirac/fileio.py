@@ -2,7 +2,7 @@
 
 Graph files, filtration manifests, and molecules come in as UTF-8 text;
 results go out as schema-versioned JSON and row-major CSV. Floats are
-rounded to 12 significant digits before serialization and files are
+rounded to 12 significant digits as they are written and files are
 written atomically (temp file, then rename), so identical inputs yield
 byte-identical outputs and failures never leave partial files behind.
 """
@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import json
 import math
 import os
 import secrets
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .errors import ParseError, ResourceLimitError
@@ -23,6 +24,7 @@ from .persistence import FeatureGrid, Filtration, missing_element, threshold_pro
 
 SCHEMA_VERSION = "1"
 DIRECTIVES = ("vertices", "thresholds", "kind")  # the `# name: value` lines a parser reads
+FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as `json` spells them
 
 
 class Lines:
@@ -206,16 +208,6 @@ def sig12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def round_floats(obj):
-    if isinstance(obj, float):
-        return sig12(obj)
-    if isinstance(obj, dict):
-        return {k: round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [round_floats(v) for v in obj]
-    return obj
-
-
 def input_digest(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -229,8 +221,9 @@ def atomic_write_text(path, text: str) -> None:
     tmp = path.parent / f".{path.name}.{secrets.token_hex(4)}.tmp"
     made: list[Path] = []  # the missing ancestors mkdir creates, deepest first
     try:
-        made = [d for d in (path.parent, *path.parent.parents) if not d.exists()]
-        path.parent.mkdir(parents=True, exist_ok=True)
+        if not path.parent.is_dir():
+            made = [d for d in (path.parent, *path.parent.parents) if not d.exists()]
+            path.parent.mkdir(parents=True, exist_ok=True)
         fh = open(tmp, "x", encoding="utf-8", newline="\n")  # raises before creating anything
         try:
             with fh:
@@ -251,12 +244,45 @@ def result_document(command: str, source, payload: dict) -> dict:
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "input_digest": input_digest(source),
-        **round_floats(payload),
+        **payload,
     }
 
 
+def _json_text(obj, indent: str = "") -> str:
+    """What `json.dumps(obj, indent=2, sort_keys=True)` writes for obj nested at `indent`,
+    each float rounded by `sig12` first: one pass, where `json` with an indent runs its
+    pure-Python encoder. A value `json` cannot write, or a dict key that is not a str, is a
+    TypeError."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, float):
+        text = float.__repr__(sig12(obj))
+        return FLOAT_WORDS.get(text, text)
+    if obj is None or isinstance(obj, bool):
+        return {None: "null", True: "true", False: "false"}[obj]
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not all(map(isinstance, obj, repeat(str))):
+            raise TypeError("JSON object keys must be str")
+        brackets = "{}"
+        items = (f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
+                 for k, v in sorted(obj.items()))
+    elif isinstance(obj, (list, tuple)):
+        brackets = "[]"
+        items = (map(encode_basestring_ascii, obj)  # one call for a row of strings
+                 if all(map(isinstance, obj, repeat(str))) else (_json_text(v, inner) for v in obj))
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if not obj:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+
+
 def write_json(path, document: dict) -> None:
-    atomic_write_text(path, json.dumps(document, indent=2, sort_keys=True) + "\n")
+    """`json.dumps(document, indent=2, sort_keys=True)` and a newline, floats at `sig12`."""
+    atomic_write_text(path, _json_text(document) + "\n")
 
 
 def format_cell(value) -> str:
@@ -265,9 +291,7 @@ def format_cell(value) -> str:
 
 
 def write_csv(path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_cell(v) for v in row))
+    lines = [",".join(header), *(",".join(map(format_cell, row)) for row in rows)]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

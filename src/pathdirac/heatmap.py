@@ -37,6 +37,9 @@ def ramp_color(t: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
+BAR = tuple(ramp_color(k / 31) for k in range(32))  # the colour bar under every heatmap
+
+
 def grid_heatmap_svg(grid: FeatureGrid, feature: str, annotate: bool = False) -> str:
     """SVG for one feature of a grid; cells (n, m) drawn for n <= m."""
     n_stages = grid.size
@@ -57,16 +60,12 @@ def grid_heatmap_svg(grid: FeatureGrid, feature: str, annotate: bool = False) ->
         t = 0.5 if span == 0 else (values[(n, m)] - vmin) / span
         x = MARGIN_LEFT + (m - 1) * CELL
         y = MARGIN_TOP + (n - 1) * CELL
-        parts.append(
-            f'<rect x="{x}" y="{y}" width="{CELL}" height="{CELL}" '
-            f'fill="{ramp_color(t)}" stroke="#ffffff" stroke-width="1"/>'
-        )
+        parts.append(f'<rect x="{x}" y="{y}" width="{CELL}" height="{CELL}" '
+                     f'fill="{ramp_color(t)}" stroke="#ffffff" stroke-width="1"/>')
         if annotate:
-            label = f"{values[(n, m)]:.3g}"
-            parts.append(
-                f'<text x="{x + CELL // 2}" y="{y + CELL // 2 + 4}" font-family="monospace" '
-                f'font-size="9" text-anchor="middle" fill="#202020">{label}</text>'
-            )
+            parts.append(f'<text x="{x + CELL // 2}" y="{y + CELL // 2 + 4}" '
+                         f'font-family="monospace" font-size="9" text-anchor="middle" '
+                         f'fill="#202020">{values[(n, m)]:.3g}</text>')
     for i in range(1, n_stages + 1):
         parts.append(
             f'<text x="{MARGIN_LEFT + (i - 1) * CELL + CELL // 2}" '
@@ -79,20 +78,14 @@ def grid_heatmap_svg(grid: FeatureGrid, feature: str, annotate: bool = False) ->
         )
     bar_y = MARGIN_TOP + n_stages * CELL + 18
     bar_w = n_stages * CELL
-    steps = 32
-    for k in range(steps):
-        x = MARGIN_LEFT + k * bar_w / steps
-        parts.append(
-            f'<rect x="{x:.2f}" y="{bar_y}" width="{bar_w / steps + 0.5:.2f}" height="10" '
-            f'fill="{ramp_color(k / (steps - 1))}"/>'
-        )
-    parts.append(
+    bar_cell = f"{bar_w / len(BAR) + 0.5:.2f}"
+    parts += [f'<rect x="{MARGIN_LEFT + k * bar_w / len(BAR):.2f}" y="{bar_y}" width="{bar_cell}" '
+              f'height="10" fill="{color}"/>' for k, color in enumerate(BAR)]
+    parts += [
         f'<text x="{MARGIN_LEFT}" y="{bar_y + 24}" font-family="monospace" '
-        f'font-size="10">{vmin:.6g}</text>'
-    )
-    parts.append(
+        f'font-size="10">{vmin:.6g}</text>',
         f'<text x="{MARGIN_LEFT + bar_w}" y="{bar_y + 24}" font-family="monospace" '
-        f'font-size="10" text-anchor="end">{vmax:.6g}</text>'
-    )
-    parts.append("</svg>")
+        f'font-size="10" text-anchor="end">{vmax:.6g}</text>',
+        "</svg>",
+    ]
     return "\n".join(parts) + "\n"

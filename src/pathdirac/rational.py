@@ -50,7 +50,7 @@ class QMatrix:
         return cls(n, n, [{i: 1} for i in range(n)])
 
     def to_rows(self) -> list[list]:
-        """Dense rows, zeros included: the one way to read a matrix entry by entry."""
+        """Dense rows, zeros included."""
         return [[row.get(j, 0) for j in range(self.cols)] for row in self.data]
 
     def __eq__(self, other):

@@ -16,8 +16,10 @@ instead of selecting its rows. `exact_boundary_square_sum` and
 judge the float boundary blocks over the rationals and through a Cholesky
 factor instead of the package's QR. `dirac_from_blocks` assembles D_p from the
 package's float blocks, but places each block by its own shape instead of by
-the complex's dimensions. These stay deliberately slow and simple so
-they can sit in judgment over the fast implementations. `auxiliary_bases`
+the complex's dimensions. `round_floats` is the serializer's former rule: a
+copy of a document with every float through the package's `sig12`, whose
+`json.dumps` judges `fileio.write_json`. These stay deliberately slow and
+simple so they can sit in judgment over the fast implementations. `auxiliary_bases`
 judges nothing: it reads the package's auxiliary bases back into stage-b
 coordinates for the oracles to judge.
 """
@@ -32,6 +34,7 @@ import sympy
 
 from pathdirac import rational as qa
 from pathdirac.chain import embed_paths
+from pathdirac.fileio import sig12
 from pathdirac.graphs import Digraph, Hypergraph
 from pathdirac.operators import Operator
 from pathdirac.rational import QMatrix
@@ -380,3 +383,14 @@ def dirac_from_blocks(blocks: list[np.ndarray]) -> np.ndarray:
         m[r0:r1, c0:c1] = b
         m[c0:c1, r0:r1] = b.T
     return m
+
+
+def round_floats(obj):
+    """A copy of a JSON document, each float rounded by `sig12` and each tuple a list."""
+    if isinstance(obj, float):
+        return sig12(obj)
+    if isinstance(obj, dict):
+        return {k: round_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [round_floats(v) for v in obj]
+    return obj

@@ -222,6 +222,29 @@ def test_check_family_negative_control(family, tmp_path, monkeypatch, capsys):
     assert {re.sub(r"(-[pn]\d+)?(\(\d+,\d+\))?$", "", line) for line in fails} == failing
 
 
+def test_a_eq_b_reduction_reuses_the_pair_spectrum_only_when_the_matrices_agree(
+        tmp_path, monkeypatch, capsys):
+    """Pair (m, m)'s complex is stage m's own, so its spectrum serves both sides of the
+    reduction line: one diagonalisation per pair. A pair complex that is not stage m's
+    (stage 2's for pair (1, 1) here) has its stage diagonalised again, and the line FAILs."""
+    for file, text in GROWING.items():
+        (tmp_path / file).write_text(text, encoding="utf-8")
+    argv = ["check", str(tmp_path / "g.txt"), "--kind", "filtration"]
+    calls = []
+    real_spectrum, real_aux = checks.eigen_spectrum, checks.auxiliary_complex
+    monkeypatch.setattr(checks, "eigen_spectrum",
+                        lambda *args: calls.append(args) or real_spectrum(*args))
+    assert main(argv) == 0
+    assert len(calls) == 3  # pairs (1,1), (1,2), (2,2)
+    assert "PASS a-eq-b-reduction(1,1): spectrum defect 0.000e+00" in capsys.readouterr().out
+    calls.clear()
+    monkeypatch.setattr(checks, "auxiliary_complex", lambda stages, a, b: (
+        stages.stage(2) if a == b == 1 else real_aux(stages, a, b)))
+    assert main(argv) == 4
+    assert len(calls) == 4
+    assert "FAIL a-eq-b-reduction(1,1): spectrum sizes 8 and 3" in capsys.readouterr().out
+
+
 def test_graph_suite_names_in_order():
     results = graph_check_suite(CYCLIC, build_digraph_complex(CYCLIC, 2))
     assert [r.name for r in results] == GRAPH_SUITE_NAMES_P2

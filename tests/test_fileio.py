@@ -2,11 +2,16 @@
 
 import hashlib
 import json
+import math
 import os
 import stat
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import round_floats
 from pathdirac import Digraph, Filtration, StageComplexes
 from pathdirac.errors import ParseError
 from pathdirac.fileio import (
@@ -20,7 +25,6 @@ from pathdirac.fileio import (
     parse_graph,
     parse_manifest,
     result_document,
-    round_floats,
     sig12,
     write_csv,
     write_json,
@@ -204,8 +208,38 @@ def test_manifest_broken_nesting_is_parse_error(tmp_path):
 def test_sig12_and_round_floats():
     assert sig12(0.0) == 0.0
     assert sig12(1 / 3) == float(f"{1 / 3:.12g}")
-    nested = round_floats({"a": [1 / 3, {"b": 2.0}]})
-    assert nested == {"a": [float(f"{1 / 3:.12g}"), {"b": 2.0}]}
+
+
+FLOATS = st.one_of(
+    st.floats(),  # NaN, ±inf and subnormals among them
+    st.sampled_from([-0.0, math.inf, -math.inf, math.nan, 5e-324, -1e-310, 1 / 3, 1e16]),
+    st.floats().map(np.float64),
+)
+STRINGS = st.one_of(st.text(), st.sampled_from(['"', "\\", "\x00\x1f\n\t", "é", "\u2028", "🜁"]))
+SCALARS = st.one_of(STRINGS, st.integers(), st.booleans(), st.none(), FLOATS)
+DOCUMENTS = st.dictionaries(STRINGS, st.recursive(
+    st.one_of(SCALARS, st.lists(STRINGS, min_size=1)),  # a row of strings, as a matrix dump has
+    lambda inner: st.one_of(st.lists(inner), st.lists(inner).map(tuple),
+                            st.dictionaries(STRINGS, inner)),
+    max_leaves=12))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(DOCUMENTS)
+def test_write_json_is_json_dumps_of_the_rounded_document(tmp_path_factory, document):
+    """write_json writes the bytes `json.dumps` writes for the document's `sig12` copy."""
+    out = tmp_path_factory.mktemp("json") / "doc.json"
+    write_json(out, document)
+    expected = json.dumps(round_floats(document), indent=2, sort_keys=True) + "\n"
+    assert out.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("document", [{"n": np.int64(3)}, {"a": [{1: "x"}]}, {"a": {None: 1}}],
+                         ids=["np-int64", "int-key", "none-key"])
+def test_write_json_refuses_what_json_cannot_write(tmp_path, document):
+    with pytest.raises(TypeError):
+        write_json(tmp_path / "doc.json", document)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_format_cell():
